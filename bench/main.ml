@@ -22,8 +22,11 @@
    The [simulator] target times the optimized pipeline against the
    verbatim pre-optimization reference (Pipeline_reference) on the same
    trace, plus Simulator.run_batch serial vs a domain pool, and records
-   both ratios under "simulator" in the JSON summary. CI guards the
-   single-trace speedup against the committed BENCH_results.json.
+   both ratios under "simulator" in the JSON summary, then the same
+   optimized/reference ratio and the simulated cycles for the X4
+   balanced and memory-bound classes. CI guards the single-trace
+   speedup against the committed BENCH_results.json and requires each
+   class's simulated cycles to equal the committed count.
 
    The [scaling] target runs the engine job mix fully profiled at
    1..N domains and records {domains, wall_s, speedup, efficiency} plus
@@ -339,6 +342,53 @@ let run_simulator () =
   in
   let per_s s = if s > 0.0 then float_of_int (uops * reps) /. s else 0.0 in
   let speedup = if optimized_s > 0.0 then reference_s /. optimized_s else 0.0 in
+  (* Per workload class: the X4 balanced (issue-bound) and memory-bound
+     (stall-bound) mixes, where the clock advance matters most. The
+     simulated cycle counts are deterministic, so CI requires them to
+     equal the committed ones exactly. *)
+  let class_reps = if !quick then 1 else 3 in
+  let classes =
+    List.map
+      (fun label ->
+        let trace =
+          Mechanistic_cmp.case_trace (List.assoc label Mechanistic_cmp.cases)
+        in
+        let opt = Pipeline.run_exn cfg trace in
+        let ref_ = Pipeline_reference.run_exn cfg trace in
+        let identical = stats_json opt = stats_json ref_ in
+        if not identical then
+          Printf.eprintf "[simulator] WARNING: %s stats differ from reference\n"
+            label;
+        let run_all run () =
+          for _ = 1 to class_reps do
+            ignore (run cfg trace : Sim_stats.t)
+          done
+        in
+        let optimized_s = time (run_all Pipeline.run_exn) in
+        let reference_s = time (run_all Pipeline_reference.run_exn) in
+        let speedup =
+          if optimized_s > 0.0 then reference_s /. optimized_s else 0.0
+        in
+        Printf.printf
+          "class %-12s (%d uops, %d cycles): reference %.3f s, optimized \
+           %.3f s -> %.2fx, stats %s\n"
+          label (Trace.length trace) opt.Sim_stats.cycles reference_s
+          optimized_s speedup
+          (if identical then "bit-identical" else "DIFFER");
+        let open Tca_util.Json in
+        Obj
+          [
+            ("class", String label);
+            ("trace_uops", Int (Trace.length trace));
+            ("sim_cycles", Int opt.Sim_stats.cycles);
+            ("reps", Int class_reps);
+            ("reference_s", Float reference_s);
+            ("optimized_s", Float optimized_s);
+            ("speedup", Float speedup);
+            ("stats_bit_identical", Bool identical);
+          ])
+      [ "balanced"; "memory-bound" ]
+  in
   (* Batched evaluation: the compare_modes shape (baseline + the four
      couplings), replicated, through run_batch serial vs a domain
      pool — with the usual bit-identity requirement. *)
@@ -401,6 +451,7 @@ let run_simulator () =
            ("optimized_uops_per_s", Float (per_s optimized_s));
            ("speedup", Float speedup);
            ("stats_bit_identical", Bool identical);
+           ("classes", List classes);
            ( "batch",
              Obj
                [

@@ -48,6 +48,13 @@ let cases =
       } );
   ]
 
+let case_trace app =
+  let rng = Tca_util.Prng.create 4242 in
+  let gen = Codegen.create ~config:app ~rng () in
+  let b = Trace.Builder.create () in
+  Codegen.emit_block gen b 120_000;
+  Trace.Builder.build b
+
 let run ?telemetry ?(par = Tca_util.Parmap.serial) () =
   let cfg = Config.hp () in
   let cases_a = Array.of_list cases in
@@ -58,11 +65,7 @@ let run ?telemetry ?(par = Tca_util.Parmap.serial) () =
     let label, app = cases_a.(i) in
     let trace =
       Tca_telemetry.Timing.with_span sinks.(i) "sim.workload" (fun () ->
-          let rng = Tca_util.Prng.create 4242 in
-          let gen = Codegen.create ~config:app ~rng () in
-          let b = Trace.Builder.create () in
-          Codegen.emit_block gen b 120_000;
-          Trace.Builder.build b)
+          case_trace app)
     in
     let stats =
       Tca_telemetry.Timing.with_span sinks.(i) "sim.step" (fun () ->

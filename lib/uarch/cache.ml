@@ -45,27 +45,26 @@ let create cfg =
     misses = 0;
   }
 
-let locate t addr =
-  let line = addr lsr t.line_shift in
-  let set = line land t.set_mask in
-  (line, set * t.cfg.assoc)
+(* Line number and first way index of the line's set, computed apart
+   (no tuple) and searched by a top-level loop (no closure): a lookup
+   allocates nothing. *)
+let[@inline] line_of t addr = addr lsr t.line_shift
+let[@inline] set_base t line = (line land t.set_mask) * t.cfg.assoc
 
-let find_way t base line =
-  let rec go w =
-    if w = t.cfg.assoc then -1
-    else if t.tags.(base + w) = line then base + w
-    else go (w + 1)
-  in
-  go 0
+let rec find_way t base line w =
+  if w = t.cfg.assoc then -1
+  else if t.tags.(base + w) = line then base + w
+  else find_way t base line (w + 1)
 
 let probe t addr =
-  let line, base = locate t addr in
-  find_way t base line >= 0
+  let line = line_of t addr in
+  find_way t (set_base t line) line 0 >= 0
 
 let access t addr =
-  let line, base = locate t addr in
+  let line = line_of t addr in
+  let base = set_base t line in
   t.clock <- t.clock + 1;
-  let idx = find_way t base line in
+  let idx = find_way t base line 0 in
   if idx >= 0 then begin
     t.stamps.(idx) <- t.clock;
     t.hits <- t.hits + 1;
@@ -78,7 +77,7 @@ let access t addr =
     for w = 1 to t.cfg.assoc - 1 do
       if t.stamps.(base + w) < t.stamps.(!victim) then victim := base + w
     done;
-    let invalid = find_way t base (-1) in
+    let invalid = find_way t base (-1) 0 in
     let slot = if invalid >= 0 then invalid else !victim in
     t.tags.(slot) <- line;
     t.stamps.(slot) <- t.clock;

@@ -54,7 +54,13 @@ val run :
     accelerator invocation, [accel.dispatch] / [flush.mispredict]
     instants and a whole-run [sim.run] span. Instrumentation is
     observation-only: results are bit-identical with and without a
-    sink. *)
+    sink.
+
+    Without [?probe] and [?telemetry] the run advances from event to
+    event, jumping over cycles in which no stage can change state, with
+    exactly the statistics of stepping through them. Supplying either
+    selects the per-cycle loop instead, so [on_cycle] sees every cycle
+    and the sink's intervals are exact. *)
 
 val run_exn :
   ?probe:probe -> ?telemetry:Tca_telemetry.Sink.t -> Config.t -> Trace.t ->

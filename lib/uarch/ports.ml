@@ -29,16 +29,17 @@ let book t c =
 
 let advance _t ~now:_ = ()
 
-let reserve t ~now =
-  let rec go c =
-    if c - now >= t.horizon then
-      failwith "Ports.reserve: reservation horizon exhausted"
-    else if usage_at t c < t.width then begin
-      book t c;
-      c
-    end
-    else go (c + 1)
-  in
-  go now
+(* Top-level rather than a local closure over [t] and [now], so a
+   reservation allocates nothing. *)
+let rec reserve_from t now c =
+  if c - now >= t.horizon then
+    failwith "Ports.reserve: reservation horizon exhausted"
+  else if usage_at t c < t.width then begin
+    book t c;
+    c
+  end
+  else reserve_from t now (c + 1)
+
+let reserve t ~now = reserve_from t now now
 
 let width t = t.width

@@ -37,12 +37,17 @@ let create cfg =
     misses = 0;
   }
 
+(* Top-level, not a closure over [base] and [page]: no allocation. *)
+let rec find t base page w =
+  if w = t.cfg.assoc then -1
+  else if t.tags.(base + w) = page then base + w
+  else find t base page (w + 1)
+
 let access t addr =
   let page = addr lsr t.cfg.page_bits in
   let base = (page land t.set_mask) * t.cfg.assoc in
   t.clock <- t.clock + 1;
-  let rec find w = if w = t.cfg.assoc then -1 else if t.tags.(base + w) = page then base + w else find (w + 1) in
-  let idx = find 0 in
+  let idx = find t base page 0 in
   if idx >= 0 then begin
     t.stamps.(idx) <- t.clock;
     t.hits <- t.hits + 1;

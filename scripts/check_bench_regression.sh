@@ -15,7 +15,10 @@
 # Pipeline_reference in the same process, so the ratio cancels the
 # host's absolute speed. CI fails when the fresh ratio falls more than
 # 20% below the committed one, or when either bit-identity check in the
-# fresh run failed.
+# fresh run failed. Per workload class (simulator.classes: the X4
+# balanced and memory-bound mixes) the fresh stats must be bit-identical
+# to the reference and the simulated cycles must equal the committed
+# count exactly: the count is deterministic, so this gate cannot flake.
 #
 # Scaling section — the fresh run's artifacts must be bit-identical
 # across domain counts, and parallel efficiency at 2 domains must not
@@ -78,6 +81,39 @@ if jq -e 'has("simulator")' "$fresh" > /dev/null; then
       echo "check_bench_regression: simulator speedup regressed more than $(awk -v t="$tolerance" 'BEGIN { printf "%d%%", (1 - t) * 100 }') below the committed value" >&2
       exit 1
     fi
+
+    # Every committed class must be present in the fresh run with the
+    # same simulated cycles; a fresh class without a committed count is
+    # a missing baseline.
+    if ! jq -e '.simulator.classes | type == "array" and length > 0' "$fresh" > /dev/null; then
+      echo "check_bench_regression: fresh simulator section has no per-class results" >&2
+      exit 2
+    fi
+    if ! jq -e '[.simulator.classes[].stats_bit_identical] | all' "$fresh" > /dev/null; then
+      echo "check_bench_regression: a per-class optimized run is NOT bit-identical to the reference" >&2
+      exit 1
+    fi
+    if ! jq -e '.simulator.classes | type == "array" and length > 0' "$committed" > /dev/null; then
+      if [ "${ALLOW_MISSING_BASELINE:-0}" = 1 ]; then
+        echo "check_bench_regression: WARNING: $committed has no simulator.classes baseline; per-class gate skipped because ALLOW_MISSING_BASELINE=1"
+        classes=""
+      else
+        echo "check_bench_regression: $committed has no simulator.classes baseline — refusing to skip the per-class cycle gate (set ALLOW_MISSING_BASELINE=1 to bootstrap it)" >&2
+        exit 2
+      fi
+    else
+      classes=$(jq -r '.simulator.classes[].class' "$committed" "$fresh" | sort -u)
+    fi
+    for cls in $classes; do
+      committed_cycles=$(jq -r --arg c "$cls" '.simulator.classes[] | select(.class == $c) | .sim_cycles' "$committed")
+      fresh_cycles=$(jq -r --arg c "$cls" '.simulator.classes[] | select(.class == $c) | .sim_cycles' "$fresh")
+      fresh_class_speedup=$(jq -r --arg c "$cls" '.simulator.classes[] | select(.class == $c) | .speedup' "$fresh")
+      echo "simulator class $cls: committed ${committed_cycles:-none} cycles, fresh ${fresh_cycles:-none} cycles (${fresh_class_speedup:-?}x vs reference)"
+      if [ -z "$committed_cycles" ] || [ -z "$fresh_cycles" ] || [ "$committed_cycles" != "$fresh_cycles" ]; then
+        echo "check_bench_regression: simulated cycles for class $cls differ from the committed count" >&2
+        exit 1
+      fi
+    done
   fi
 fi
 

@@ -203,7 +203,10 @@ let util_case i g =
 (* Well-formed but structurally hostile: tiny ROBs, single ports, long
    dependence chains through r0, and a sprinkling of accelerator
    invocations so every coupling path is exercised. *)
-let hostile_trace g ~len =
+(* Accelerator instructions name units [0, n_units), chosen from draws
+   already made, so the default single unit leaves the stream as it
+   was. *)
+let hostile_trace ?(n_units = 1) g ~len =
   let open Tca_uarch in
   let b = Trace.Builder.create () in
   for k = 1 to len do
@@ -218,6 +221,7 @@ let hostile_trace g ~len =
       | 4 -> Isa.int_mult ~src1:0 ~dst:0 ()
       | 5 ->
           Isa.accel
+            ~unit_id:((k + abs roll) mod n_units)
             ~compute_latency:(1 + (abs roll mod 40))
             ~reads:(if k mod 2 = 0 then [| k * 64 mod 4096 |] else [||])
             ~writes:[||] ~dst:(k mod Isa.num_arch_regs) ()
@@ -290,13 +294,50 @@ let uarch_case i g =
       | (Ok (Pipeline.Partial _) | Error _) as outcome ->
           check_outcome i trace starved outcome)
 
+(* A uniform-ish draw in [0, k) from the adversarial size stream. *)
+let draw g k = abs (Tca_util.Faultgen.size_adversarial g ~max:k) mod k
+
+(* 1-3 TCA units, each with its own configuration mechanism, latency
+   and queue depth, commit port, occupancy and coupling overrides: the
+   per-unit and configuration paths of the pipeline. *)
+let random_units g =
+  let open Tca_uarch in
+  let opt_flag () =
+    match draw g 3 with 0 -> None | 1 -> Some false | _ -> Some true
+  in
+  Array.init (1 + draw g 3) (fun id ->
+      let occupancy =
+        match draw g 3 with
+        | 0 -> None
+        | 1 -> Some Tca_unit.Pipelined
+        | _ -> Some Tca_unit.Exclusive
+      in
+      let allow_leading = opt_flag () in
+      let allow_trailing = opt_flag () in
+      let extra_invocation_latency = draw g 4 in
+      let commit_port =
+        if draw g 2 = 0 then Tca_unit.Shared else Tca_unit.Private
+      in
+      let config_mode =
+        match draw g 3 with
+        | 0 -> Tca_unit.Sync
+        | 1 -> Tca_unit.Queued
+        | _ -> Tca_unit.Preprogrammed
+      in
+      let config_latency = if draw g 3 = 0 then 0 else draw g 60 in
+      let config_queue_depth = 1 + draw g 3 in
+      Tca_unit.make ?occupancy ?allow_leading ?allow_trailing
+        ~extra_invocation_latency ~commit_port ~config_mode ~config_latency
+        ~config_queue_depth id)
+
 (* Differential oracle: the optimized pipeline must reproduce the
    pre-optimization reference implementation bit for bit — same
    Sim_stats, same outcome constructor, same diagnostics — on hostile
-   configs and traces, whether or not the watchdog trips. *)
+   configs, unit tables and traces, whether or not the watchdog trips. *)
 let parity_case i g =
   let open Tca_uarch in
   let spec = Tca_util.Faultgen.uarch_spec g in
+  let units = random_units g in
   let cfg =
     {
       (Config.hp ()) with
@@ -314,10 +355,11 @@ let parity_case i g =
       commit_depth = spec.Tca_util.Faultgen.commit_depth;
       tca_speculate_fraction = spec.Tca_util.Faultgen.speculate_fraction;
       max_cycles = spec.Tca_util.Faultgen.watchdog_cycles;
+      tca_units = units;
     }
   in
   let len = 20 + (abs (Tca_util.Faultgen.size_adversarial g ~max:120) mod 120) in
-  let trace = hostile_trace g ~len in
+  let trace = hostile_trace ~n_units:(Array.length units) g ~len in
   let key = function
     | Ok o ->
         "ok:"

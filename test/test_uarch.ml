@@ -1349,6 +1349,168 @@ let test_golden_pins () =
         pinned (golden_reference pair))
     (Tca_experiments.Exp_common.golden_pairs ())
 
+(* --- Event-driven clock advance: targeted differential cases ---
+
+   [Pipeline.run] without a probe jumps over idle cycles; with a probe
+   it steps every cycle, as [Pipeline_reference] always does. Each case
+   aims a stall span at one event boundary of the jump and must match
+   the reference on the [Sim_stats] JSON, the outcome constructor and
+   the diagnostic. The probed run must match too, and must see at least
+   two idle cycles in a row, so the jump is really taken. [expect]
+   checks the case reaches the regime it names. *)
+
+let skip_trace n body =
+  let b = Trace.Builder.create () in
+  for k = 0 to n - 1 do
+    List.iter (Trace.Builder.add b) (body k)
+  done;
+  Trace.Builder.build b
+
+(* A load to a line no other instruction touches: misses L1 and L2. *)
+let dram_miss ~dst k = Isa.load ~dst ~addr:(0x100000 + (k * 4096)) ()
+let alu k = Isa.int_alu ~dst:(8 + (k mod 48)) ()
+let alus k n = List.init n (fun j -> alu ((k * n) + j))
+let coin k = (((k * 1103515245) + 12345) lsr 16) land 1 = 1
+
+let one_unit ?(coupling = Config.coupling_l_t) unit =
+  Config.with_tca_units (Config.hp ~coupling ()) [| unit |]
+
+let skip_cases =
+  let cfg_of f = f (Config.hp ()) in
+  [
+    ( "watchdog cap inside a stall span",
+      cfg_of (fun c -> { c with Config.max_cycles = Some 700 }),
+      skip_trace 1 (fun _ ->
+          Isa.accel ~dst:1 ~compute_latency:2000 ~reads:[||] ~writes:[||] ()
+          :: alus 0 400),
+      fun o ->
+        (match o with Pipeline.Partial _ -> true | Pipeline.Complete _ -> false)
+        && (Pipeline.stats_of_outcome o).Sim_stats.cycles = 701 );
+  ]
+  (* Depth 1 resumes on the cycle after the branch resolves; depth 2
+     leaves one idle cycle whose successor is the resume cycle itself. *)
+  @ List.map
+      (fun depth ->
+        ( Printf.sprintf "frontend_depth %d: redirect resumes" depth,
+          cfg_of (fun c -> { c with Config.frontend_depth = depth }),
+          skip_trace 60 (fun k ->
+              [ dram_miss ~dst:1 k; Isa.branch ~src1:1 ~taken:(coin k) () ]
+              @ alus k 3),
+          fun o -> (Pipeline.stats_of_outcome o).Sim_stats.mispredicts > 0 ))
+      [ 1; 2 ]
+  (* Under NT the second accelerator of each pair heads the dispatch
+     group that follows the first one's commit, so its one-cycle CSR
+     write is a counted stall that ends on the very next cycle. *)
+  @ List.map
+      (fun (name, mode) ->
+        ( name ^ " unit, config_latency 1",
+          one_unit ~coupling:Config.coupling_nl_nt
+            (Tca_unit.make ~config_mode:mode ~config_latency:1 0),
+          skip_trace 30 (fun k ->
+              [
+                Isa.accel ~dst:2 ~compute_latency:30 ~reads:[||] ~writes:[||]
+                  ();
+                Isa.accel ~src1:1 ~dst:3 ~compute_latency:30 ~reads:[||]
+                  ~writes:[||] ();
+                dram_miss ~dst:1 k;
+              ]
+              @ alus k 4),
+          fun o ->
+            (Pipeline.stats_of_outcome o).Sim_stats.config_stall_cycles > 0 ))
+      [ ("sync", Tca_unit.Sync); ("preprogrammed", Tca_unit.Preprogrammed) ]
+  @ List.map
+      (fun depth ->
+        ( Printf.sprintf "queued unit, depth %d" depth,
+          one_unit
+            (Tca_unit.make ~config_mode:Tca_unit.Queued ~config_latency:40
+               ~config_queue_depth:depth 0),
+          (* Compute latencies sweep every residue of the descriptor
+             period, so some commit lands just before a queue release
+             and the idle cycle after it ends on the release itself. *)
+          skip_trace 40 (fun k ->
+              Isa.accel ~dst:2
+                ~compute_latency:(1 + (k * 13 mod 40))
+                ~reads:[||] ~writes:[||] ()
+              :: alus k 2),
+          fun o ->
+            (Pipeline.stats_of_outcome o).Sim_stats.config_queue_stall_cycles
+            > 0 ))
+      [ 1; 2 ]
+  @ List.map
+      (fun coupling ->
+        ( "two units, non-head accelerators wait under "
+          ^ Config.coupling_name coupling,
+          Config.with_tca_units (Config.hp ~coupling ())
+            [| Tca_unit.default 0; Tca_unit.default 1 |],
+          skip_trace 20 (fun k ->
+              [
+                dram_miss ~dst:1 k;
+                Isa.accel ~dst:2 ~compute_latency:10 ~reads:[||] ~writes:[||]
+                  ();
+                dram_miss ~dst:4 (k + 1000);
+                Isa.accel ~unit_id:1 ~dst:3 ~compute_latency:10 ~reads:[||]
+                  ~writes:[||] ();
+              ]
+              @ alus k 4),
+          fun o ->
+            let per_unit = (Pipeline.stats_of_outcome o).Sim_stats.per_unit in
+            List.length per_unit = 2
+            && List.for_all
+                 (fun (u : Sim_stats.unit_stats) ->
+                   u.Sim_stats.wait_for_head_cycles > 0)
+                 per_unit ))
+      [ Config.coupling_nl_t; Config.coupling_nl_nt ]
+  (* The writebacks fall due mid-stall, on their accelerator's
+     completion cycle. The cap at cycle 100, after the first drain and
+     before the miss returns, also compares a Partial snapshot whose
+     cache counters include it. *)
+  @ List.map
+      (fun cap ->
+        ( Printf.sprintf "accelerator writebacks due during a full-ROB stall%s"
+            (match cap with Some c -> Printf.sprintf ", cap %d" c | None -> ""),
+          cfg_of (fun c -> { c with Config.max_cycles = cap }),
+          skip_trace 6 (fun k ->
+              [
+                dram_miss ~dst:1 k;
+                Isa.accel ~dst:2 ~compute_latency:80 ~reads:[||]
+                  ~writes:[| 0x8000 + (k * 64); 0x9000 + (k * 64) |]
+                  ();
+              ]
+              @ alus k 300),
+          fun o ->
+            let st = Pipeline.stats_of_outcome o in
+            st.Sim_stats.stalls.Sim_stats.rob_full > 0
+            && st.Sim_stats.accel_invocations > 0 ))
+      [ None; Some 100 ]
+
+let test_skip_differential () =
+  List.iter
+    (fun (name, cfg, trace, expect) ->
+      let idle = ref 0 and longest = ref 0 in
+      let probe =
+        {
+          Pipeline.on_cycle =
+            (fun ~cycle:_ ~dispatched ~issued ~executing:_ ~rob_occupancy:_ ->
+              if dispatched = 0 && issued = 0 then begin
+                incr idle;
+                if !idle > !longest then longest := !idle
+              end
+              else idle := 0);
+        }
+      in
+      let fast = Pipeline.run cfg trace in
+      let stepped = Pipeline.run ~probe cfg trace in
+      let oracle = outcome_key (Pipeline_reference.run cfg trace) in
+      Alcotest.(check string) (name ^ ": fast = reference") oracle
+        (outcome_key fast);
+      Alcotest.(check string) (name ^ ": probed = reference") oracle
+        (outcome_key stepped);
+      Alcotest.(check bool) (name ^ ": has an idle span to skip") true
+        (!longest >= 2);
+      Alcotest.(check bool) (name ^ ": reaches its regime") true
+        (match fast with Ok o -> expect o | Error _ -> false))
+    skip_cases
+
 let () =
   Alcotest.run "tca_uarch"
     [
@@ -1466,6 +1628,11 @@ let () =
           Alcotest.test_case "unit validation" `Quick test_config_unit_validate;
           Alcotest.test_case "pipelines agree + counters" `Slow
             test_config_pipelines_agree;
+        ] );
+      ( "clock_jump",
+        [
+          Alcotest.test_case "differential cases" `Quick
+            test_skip_differential;
         ] );
       ( "golden",
         [ Alcotest.test_case "workload pins" `Quick test_golden_pins ] );
