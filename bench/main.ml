@@ -24,9 +24,9 @@
    trace, plus Simulator.run_batch serial vs a domain pool, and records
    both ratios under "simulator" in the JSON summary, then the same
    optimized/reference ratio and the simulated cycles for the X4
-   balanced and memory-bound classes. CI guards the single-trace
-   speedup against the committed BENCH_results.json and requires each
-   class's simulated cycles to equal the committed count.
+   balanced, chain-limited and memory-bound classes. CI guards the
+   single-trace speedup against the committed BENCH_results.json and
+   requires each class's simulated cycles to equal the committed count.
 
    The [scaling] target runs the engine job mix fully profiled at
    1..N domains and records {domains, wall_s, speedup, efficiency} plus
@@ -342,10 +342,11 @@ let run_simulator () =
   in
   let per_s s = if s > 0.0 then float_of_int (uops * reps) /. s else 0.0 in
   let speedup = if optimized_s > 0.0 then reference_s /. optimized_s else 0.0 in
-  (* Per workload class: the X4 balanced (issue-bound) and memory-bound
-     (stall-bound) mixes, where the clock advance matters most. The
-     simulated cycle counts are deterministic, so CI requires them to
-     equal the committed ones exactly. *)
+  (* Per workload class: the X4 balanced (issue-bound), chain-limited
+     (dependence-bound, [dep_window = 3]: the wakeup path) and
+     memory-bound (stall-bound: the clock advance) mixes. The simulated
+     cycle counts are deterministic, so CI requires them to equal the
+     committed ones exactly. *)
   let class_reps = if !quick then 1 else 3 in
   let classes =
     List.map
@@ -370,7 +371,7 @@ let run_simulator () =
           if optimized_s > 0.0 then reference_s /. optimized_s else 0.0
         in
         Printf.printf
-          "class %-12s (%d uops, %d cycles): reference %.3f s, optimized \
+          "class %-13s (%d uops, %d cycles): reference %.3f s, optimized \
            %.3f s -> %.2fx, stats %s\n"
           label (Trace.length trace) opt.Sim_stats.cycles reference_s
           optimized_s speedup
@@ -387,7 +388,7 @@ let run_simulator () =
             ("speedup", Float speedup);
             ("stats_bit_identical", Bool identical);
           ])
-      [ "balanced"; "memory-bound" ]
+      [ "balanced"; "chain-limited"; "memory-bound" ]
   in
   (* Batched evaluation: the compare_modes shape (baseline + the four
      couplings), replicated, through run_batch serial vs a domain

@@ -17,13 +17,29 @@
      loops are tail-recursive over int accumulators instead of
      closure/ref based, and per-opcode latencies come from a table built
      at [create];
+   - issue and completion are event-driven where the reference rescans
+     the whole window every cycle (gem5's O3 core wakes dependants the
+     same way). At dispatch an entry links one node per source operand
+     into its still-pending producer's consumer list and counts them in
+     [pend]; completion walks the list and an entry whose count reaches
+     0 joins the ready set, a bitmap over ROB slots that issue visits
+     oldest-first from [head] (the reference's visiting order, minus the
+     entries it would find not ready). Executing entries sit in a
+     min-heap on [complete_at], and completion pops exactly those due.
+     Invariants: the ready set holds exactly the waiting entries with
+     [pend = 0] (an entry leaves it only in [start_executing], so
+     blocked loads, head-waiting accelerators and ops behind saturated
+     units stay in it); [pend] counts the entry's source nodes whose
+     producer has not completed; the heap holds exactly the executing
+     entries ([executing] is its size). Nothing is squashed, so no list
+     or heap entry goes stale;
    - the run loop is split: the [?telemetry:None] + [?probe:None] path
      does no interval bookkeeping at all, the instrumented path is the
      reference loop verbatim;
    - the fast path advances from event to event: after a cycle in which
      nothing completed, committed, issued or dispatched, it jumps the
      clock to the earliest cycle at which any stage can change state —
-     the next completion ([next_complete]), the next accelerator
+     the next completion (the heap top), the next accelerator
      writeback ([paw_next_due]), the done head's commit time
      ([complete_at + commit_depth]), the redirect resume
      ([fetch_resume_at]), the end of synchronous CSR writes
@@ -35,12 +51,13 @@
      [Pipeline_reference] still step every cycle.
 
    The stages and the memory models they call (ports, caches, TLB)
-   allocate nothing per cycle or per access: their loops are top-level
-   tail-recursive functions over ints, never closures. Measured with
-   perfbench's traced runs, the allocation left is per-run set-up
-   (ROB, port and cache arrays): pipeline.words_per_uop 1.70 on
-   sim_stall and 0.45 on sim_dense (9.65 and 5.43 with the per-access
-   closures and tuples this replaced). *)
+   allocate nothing per cycle or per access: their loops — the heap
+   sifts and the bitmap search included — are top-level tail-recursive
+   functions over ints, never closures. Measured with perfbench's
+   traced runs, the allocation left is per-run set-up (ROB, port and
+   cache arrays): pipeline.words_per_uop 1.71 on sim_stall and 0.45
+   on sim_dense (9.65 and 5.43 with the per-access closures and tuples
+   this replaced). *)
 
 module D = Trace.Decoded
 
@@ -139,10 +156,20 @@ type state = {
   st : int array;
   complete_at : int array;
   seq : int array;
-  dep1_slot : int array;
-  dep1_seq : int array;
-  dep2_slot : int array;
-  dep2_seq : int array;
+  (* Wakeup lists: every waiting entry links one node per source operand
+     whose producer was still pending at dispatch (node [2 * slot + j]
+     for source [j], so [src1 = src2] links two nodes into the same
+     list), and [pend] counts its nodes not yet woken. *)
+  pend : int array;
+  wk_head : int array;  (* per producer slot: first consumer node, -1 none *)
+  wk_next : int array;  (* per node: next node in the same list, -1 end *)
+  ready : int array;
+      (* bitmap over slots, [ready_bits] per word: the waiting entries
+         with [pend = 0] *)
+  (* Executing entries: a binary min-heap on [complete_at], [executing]
+     entries long. *)
+  heap_at : int array;
+  heap_slot : int array;
   (* Rename table: architectural register -> youngest producer. *)
   ren_slot : int array;
   ren_seq : int array;
@@ -154,11 +181,7 @@ type state = {
   mutable head : int;
   mutable tail : int;
   mutable count : int;
-  mutable executing : int;  (* entries in [st_executing] *)
-  mutable next_complete : int;
-      (* lower bound on the earliest [complete_at] among executing
-         entries ([max_int] when none): the completion scan runs only on
-         cycles where something can actually finish *)
+  mutable executing : int;  (* entries in [st_executing] = heap size *)
   mutable iq_count : int;
   mutable lsq_count : int;
   mutable next_fetch : int;
@@ -194,6 +217,10 @@ type state = {
   mutable occupancy_sum : int;
   mutable occupancy_at_accel_sum : int;
 }
+
+(* Slots per word of the ready bitmap: 62 keeps every bit clear of the
+   sign bit of OCaml's 63-bit int. *)
+let ready_bits = 62
 
 let create ?telemetry cfg trace =
   let r = cfg.Config.rob_size in
@@ -270,10 +297,12 @@ let create ?telemetry cfg trace =
     st = Array.make r st_empty;
     complete_at = Array.make r 0;
     seq = Array.make r (-1);
-    dep1_slot = Array.make r (-1);
-    dep1_seq = Array.make r (-1);
-    dep2_slot = Array.make r (-1);
-    dep2_seq = Array.make r (-1);
+    pend = Array.make r 0;
+    wk_head = Array.make r (-1);
+    wk_next = Array.make (2 * r) (-1);
+    ready = Array.make ((r + ready_bits - 1) / ready_bits) 0;
+    heap_at = Array.make r 0;
+    heap_slot = Array.make r 0;
     ren_slot = Array.make Isa.num_arch_regs (-1);
     ren_seq = Array.make Isa.num_arch_regs (-1);
     stq = Array.make r (-1);
@@ -283,7 +312,6 @@ let create ?telemetry cfg trace =
     tail = 0;
     count = 0;
     executing = 0;
-    next_complete = max_int;
     iq_count = 0;
     lsq_count = 0;
     next_fetch = 0;
@@ -321,17 +349,84 @@ let create ?telemetry cfg trace =
    conditional subtraction replaces the reference's [mod]. *)
 let[@inline] wrap s i = if i >= s.rob then i - s.rob else i
 
+let[@inline] imin (a : int) b = if a < b then a else b
+
 (* A producer is still pending iff its slot holds the same dynamic
    instruction (sequence number matches) and it has not completed. A
    mismatching sequence means the producer committed and its slot was
-   reused (or freed): the value is architecturally available. *)
+   reused (or freed): the value is architecturally available. Tested
+   once, at dispatch; a pending producer wakes its consumers when it
+   completes ([wake]), which always precedes its commit. *)
 let[@inline] producer_pending s slot seq =
   slot >= 0 && s.st.(slot) <> st_empty && s.seq.(slot) = seq
   && s.st.(slot) <> st_done
 
-let[@inline] deps_ready s slot =
-  (not (producer_pending s s.dep1_slot.(slot) s.dep1_seq.(slot)))
-  && not (producer_pending s s.dep2_slot.(slot) s.dep2_seq.(slot))
+(* --- ready bitmap --- *)
+
+let[@inline] set_ready s slot =
+  let w = slot / ready_bits in
+  s.ready.(w) <- s.ready.(w) lor (1 lsl (slot - (w * ready_bits)))
+
+let[@inline] clear_ready s slot =
+  let w = slot / ready_bits in
+  s.ready.(w) <- s.ready.(w) land lnot (1 lsl (slot - (w * ready_bits)))
+
+(* Index of the lowest set bit of [x <> 0], by halving. *)
+let ctz x =
+  let n = if x land 0xFFFF_FFFF = 0 then 32 else 0 in
+  let x = x lsr n in
+  let m = if x land 0xFFFF = 0 then 16 else 0 in
+  let x = x lsr m and n = n + m in
+  let m = if x land 0xFF = 0 then 8 else 0 in
+  let x = x lsr m and n = n + m in
+  let m = if x land 0xF = 0 then 4 else 0 in
+  let x = x lsr m and n = n + m in
+  let m = if x land 0x3 = 0 then 2 else 0 in
+  let x = x lsr m and n = n + m in
+  if x land 1 = 0 then n + 1 else n
+
+(* Lowest ready slot in [[p, stop)], or [stop] if none. *)
+let rec next_ready s p stop =
+  if p >= stop then stop
+  else
+    let w = p / ready_bits in
+    let bits = s.ready.(w) lsr (p - (w * ready_bits)) in
+    if bits <> 0 then imin (p + ctz bits) stop
+    else next_ready s ((w + 1) * ready_bits) stop
+
+(* --- completion heap: [heap_at]/[heap_slot] [0, executing) --- *)
+
+let[@inline] heap_set s i at slot =
+  s.heap_at.(i) <- at;
+  s.heap_slot.(i) <- slot
+
+let rec sift_up s i at slot =
+  if i = 0 then heap_set s i at slot
+  else
+    let parent = (i - 1) / 2 in
+    if s.heap_at.(parent) > at then begin
+      heap_set s i s.heap_at.(parent) s.heap_slot.(parent);
+      sift_up s parent at slot
+    end
+    else heap_set s i at slot
+
+let rec sift_down s i n at slot =
+  let l = (2 * i) + 1 in
+  if l >= n then heap_set s i at slot
+  else
+    let c =
+      if l + 1 < n && s.heap_at.(l + 1) < s.heap_at.(l) then l + 1 else l
+    in
+    if s.heap_at.(c) < at then begin
+      heap_set s i s.heap_at.(c) s.heap_slot.(c);
+      sift_down s c n at slot
+    end
+    else heap_set s i at slot
+
+let heap_pop s =
+  let n = s.executing - 1 in
+  s.executing <- n;
+  if n > 0 then sift_down s 0 n s.heap_at.(n) s.heap_slot.(n)
 
 (* Youngest in-flight store older (in program order, i.e. by sequence
    number) than the load, to the same address. Walks the store queue
@@ -405,36 +500,40 @@ let push_accel_write s ~finish ~off ~len =
   s.paw_count <- s.paw_count + 1;
   if finish < s.paw_next_due then s.paw_next_due <- finish
 
-(* Scans every occupied slot; transitions are order-independent, so the
-   [next_complete] gate in [complete_stage] (skip the scan while nothing
-   is due) cannot change results, only avoid no-op passes. Recomputes
-   the bound from the entries still executing. *)
-let rec complete_scan s k min_next =
-  if k >= s.count then min_next
-  else
-    let slot = wrap s (s.head + k) in
-    if s.st.(slot) = st_executing then
-      if s.complete_at.(slot) <= s.cycle then begin
-        s.st.(slot) <- st_done;
-        s.executing <- s.executing - 1;
-        if s.pending_redirect = slot && s.pending_redirect_seq = s.seq.(slot)
-        then begin
-          s.fetch_resume_at <- s.cycle + s.frontend_depth;
-          s.pending_redirect <- -1;
-          s.pending_redirect_seq <- -1
-        end;
-        complete_scan s (k + 1) min_next
-      end
-      else
-        complete_scan s (k + 1)
-          (if s.complete_at.(slot) < min_next then s.complete_at.(slot)
-           else min_next)
-    else complete_scan s (k + 1) min_next
+(* Walk a completed producer's consumer list: each node resolves one
+   source operand, and an entry whose last pending source resolves
+   becomes ready. *)
+let rec wake s node =
+  if node >= 0 then begin
+    let c = node / 2 in
+    let p = s.pend.(c) - 1 in
+    s.pend.(c) <- p;
+    if p = 0 then set_ready s c;
+    wake s s.wk_next.(node)
+  end
+
+(* Pop every executing entry due this cycle. Completions commute (each
+   touches only its own slot, its consumers' counts and its own
+   redirect), so the heap's pop order cannot change results. *)
+let rec complete_due s =
+  if s.executing > 0 && s.heap_at.(0) <= s.cycle then begin
+    let slot = s.heap_slot.(0) in
+    heap_pop s;
+    s.st.(slot) <- st_done;
+    if s.pending_redirect = slot && s.pending_redirect_seq = s.seq.(slot)
+    then begin
+      s.fetch_resume_at <- s.cycle + s.frontend_depth;
+      s.pending_redirect <- -1;
+      s.pending_redirect_seq <- -1
+    end;
+    wake s s.wk_head.(slot);
+    s.wk_head.(slot) <- -1;
+    complete_due s
+  end
 
 let complete_stage s =
   if s.paw_count > 0 && s.paw_next_due <= s.cycle then drain_accel_writes s;
-  if s.executing > 0 && s.next_complete <= s.cycle then
-    s.next_complete <- complete_scan s 0 max_int
+  complete_due s
 
 let rec commit_loop s n =
   if n < s.commit_width && s.count > 0 then begin
@@ -517,11 +616,11 @@ let issue_accel s slot ti u =
   let finish = max compute_done write_done in
   if writes_len > 0 then
     push_accel_write s ~finish ~off:s.d.writes_off.(ti) ~len:writes_len;
-  s.complete_at.(slot) <- max finish (s.cycle + 1);
-  s.u_free_at.(u) <- s.complete_at.(slot);
-  s.accel_busy <- s.accel_busy + (s.complete_at.(slot) - s.cycle);
-  s.u_busy.(u) <- s.u_busy.(u) + (s.complete_at.(slot) - s.cycle);
-  match s.telemetry with
+  let complete = max finish (s.cycle + 1) in
+  s.u_free_at.(u) <- complete;
+  s.accel_busy <- s.accel_busy + (complete - s.cycle);
+  s.u_busy.(u) <- s.u_busy.(u) + (complete - s.cycle);
+  (match s.telemetry with
   | None -> ()
   | Some sink ->
       (* Invoke-to-complete span; its duration is exactly this
@@ -535,82 +634,88 @@ let issue_accel s slot ti u =
            ]
           @ if s.n_units > 1 then [ ("unit", Tca_util.Json.Int u) ] else [])
         ~ts:(float_of_int s.cycle)
-        ~dur:(float_of_int (s.complete_at.(slot) - s.cycle))
-        "accel.invoke"
+        ~dur:(float_of_int (complete - s.cycle))
+        "accel.invoke");
+  complete
 
+(* The only way out of the ready set: every issue path, the
+   accelerator's included, goes through here. *)
 let[@inline] start_executing s slot complete =
+  clear_ready s slot;
   s.st.(slot) <- st_executing;
-  s.executing <- s.executing + 1;
   s.complete_at.(slot) <- complete;
-  if complete < s.next_complete then s.next_complete <- complete;
+  let i = s.executing in
+  s.executing <- i + 1;
+  sift_up s i complete slot;
   s.iq_count <- s.iq_count - 1
 
-(* Scan the window oldest-first for up to [issue_width] ready
-   instructions, bounded by the per-class unit counts. Tail-recursive
-   over int accumulators: no closure, no ref, no allocation. *)
-let rec issue_scan s k issued ialu imult fp =
-  if issued >= s.issue_width || k >= s.count then issued
+(* Visit the ready set oldest-first — slots [[slot, stop)], first from
+   [head] to the end of the ring, then from 0 up to [head] — issuing up
+   to [issue_width] instructions, bounded by the per-class unit counts.
+   This is the reference's visiting order over its whole-window scan,
+   minus the entries it would skip as not ready. Tail-recursive over
+   int accumulators: no closure, no ref, no allocation. *)
+let rec issue_scan s slot stop issued ialu imult fp =
+  if issued >= s.issue_width then issued
   else
-    let slot = wrap s (s.head + k) in
-    if s.st.(slot) = st_waiting && deps_ready s slot then begin
+    let slot = next_ready s slot stop in
+    if slot >= stop then
+      if stop = s.rob && s.head > 0 then
+        issue_scan s 0 s.head issued ialu imult fp
+      else issued
+    else begin
       let ti = s.tr_idx.(slot) in
       let opc = s.d.op.(ti) in
       if opc = D.op_int_alu || opc = D.op_branch then
         if ialu < s.int_alu_units then begin
           start_executing s slot (s.cycle + s.lat.(opc));
-          issue_scan s (k + 1) (issued + 1) (ialu + 1) imult fp
+          issue_scan s (slot + 1) stop (issued + 1) (ialu + 1) imult fp
         end
-        else issue_scan s (k + 1) issued ialu imult fp
+        else issue_scan s (slot + 1) stop issued ialu imult fp
       else if opc = D.op_int_mult then
         if imult < s.int_mult_units then begin
           start_executing s slot (s.cycle + s.lat.(opc));
-          issue_scan s (k + 1) (issued + 1) ialu (imult + 1) fp
+          issue_scan s (slot + 1) stop (issued + 1) ialu (imult + 1) fp
         end
-        else issue_scan s (k + 1) issued ialu imult fp
+        else issue_scan s (slot + 1) stop issued ialu imult fp
       else if opc = D.op_fp_alu || opc = D.op_fp_mult then
         if fp < s.fp_units then begin
           start_executing s slot (s.cycle + s.lat.(opc));
-          issue_scan s (k + 1) (issued + 1) ialu imult (fp + 1)
+          issue_scan s (slot + 1) stop (issued + 1) ialu imult (fp + 1)
         end
-        else issue_scan s (k + 1) issued ialu imult fp
+        else issue_scan s (slot + 1) stop issued ialu imult fp
       else if opc = D.op_store then begin
         (* Address generation; data drains to cache at commit. *)
         start_executing s slot (s.cycle + 1);
-        issue_scan s (k + 1) (issued + 1) ialu imult fp
+        issue_scan s (slot + 1) stop (issued + 1) ialu imult fp
       end
       else if opc = D.op_load then (
         match
           older_store_match s s.seq.(slot) s.d.addr.(ti) (s.stq_count - 1)
         with
-        | `Blocked -> issue_scan s (k + 1) issued ialu imult fp
+        | `Blocked -> issue_scan s (slot + 1) stop issued ialu imult fp
         | `Forward ->
             start_executing s slot (s.cycle + 1);
-            issue_scan s (k + 1) (issued + 1) ialu imult fp
+            issue_scan s (slot + 1) stop (issued + 1) ialu imult fp
         | `None ->
             start_executing s slot (memory_read s ~now:s.cycle s.d.addr.(ti));
-            issue_scan s (k + 1) (issued + 1) ialu imult fp)
+            issue_scan s (slot + 1) stop (issued + 1) ialu imult fp)
       else begin
         (* accel *)
         let u = s.d.accel_unit.(ti) in
         if accel_speculative s slot u || slot = s.head then begin
-          issue_accel s slot ti u;
-          s.st.(slot) <- st_executing;
-          s.executing <- s.executing + 1;
-          if s.complete_at.(slot) < s.next_complete then
-            s.next_complete <- s.complete_at.(slot);
-          s.iq_count <- s.iq_count - 1;
-          issue_scan s (k + 1) (issued + 1) ialu imult fp
+          start_executing s slot (issue_accel s slot ti u);
+          issue_scan s (slot + 1) stop (issued + 1) ialu imult fp
         end
         else begin
           s.accel_head_wait <- s.accel_head_wait + 1;
           s.u_head_wait.(u) <- s.u_head_wait.(u) + 1;
-          issue_scan s (k + 1) issued ialu imult fp
+          issue_scan s (slot + 1) stop issued ialu imult fp
         end
       end
     end
-    else issue_scan s (k + 1) issued ialu imult fp
 
-let issue_stage s = issue_scan s 0 0 0 0 0
+let issue_stage s = issue_scan s s.head s.rob 0 0 0 0
 
 (* Synchronous configuration gate for trace index [ti] on a unit with
    config latency [c]: the first attempt starts [c] cycles of CSR
@@ -623,6 +728,20 @@ let sync_gate s ti c =
   end
   else if s.cycle < s.cfg_ready_at then stall_config
   else stall_none
+
+(* Source [j] of the entry dispatched into [slot] reads register [src]
+   (-1 none): if its producer is still pending, link node [2 * slot + j]
+   into the producer's consumer list. *)
+let link_source s slot j src =
+  if src >= 0 then begin
+    let p = s.ren_slot.(src) in
+    if producer_pending s p s.ren_seq.(src) then begin
+      let node = (2 * slot) + j in
+      s.wk_next.(node) <- s.wk_head.(p);
+      s.wk_head.(p) <- node;
+      s.pend.(slot) <- s.pend.(slot) + 1
+    end
+  end
 
 let rec dispatch_loop s dispatched =
   if dispatched >= s.dispatch_width then dispatched
@@ -692,24 +811,10 @@ let rec dispatch_loop s dispatched =
       s.st.(slot) <- st_waiting;
       s.seq.(slot) <- s.next_seq;
       s.next_seq <- s.next_seq + 1;
-      let src1 = s.d.src1.(ti) in
-      if src1 >= 0 then begin
-        s.dep1_slot.(slot) <- s.ren_slot.(src1);
-        s.dep1_seq.(slot) <- s.ren_seq.(src1)
-      end
-      else begin
-        s.dep1_slot.(slot) <- -1;
-        s.dep1_seq.(slot) <- -1
-      end;
-      let src2 = s.d.src2.(ti) in
-      if src2 >= 0 then begin
-        s.dep2_slot.(slot) <- s.ren_slot.(src2);
-        s.dep2_seq.(slot) <- s.ren_seq.(src2)
-      end
-      else begin
-        s.dep2_slot.(slot) <- -1;
-        s.dep2_seq.(slot) <- -1
-      end;
+      s.pend.(slot) <- 0;
+      link_source s slot 0 s.d.src1.(ti);
+      link_source s slot 1 s.d.src2.(ti);
+      if s.pend.(slot) = 0 then set_ready s slot;
       let dst = s.d.dst.(ti) in
       if dst >= 0 then begin
         s.ren_slot.(dst) <- slot;
@@ -973,16 +1078,14 @@ let watchdog_diag s =
    test flips; [next_event] is the earliest such cycle, so the cycles
    before it can be credited in one step. *)
 
-let[@inline] imin (a : int) b = if a < b then a else b
-
 (* Earliest cycle >= [s.cycle] at which a stage may change state, read
    right after an idle cycle; [cap + 1] bounds it so the watchdog trips
    on the same cycle as when stepping. *)
 let next_event s cap =
   let t = if cap < max_int then cap + 1 else max_int in
-  let t = if s.executing > 0 then imin t s.next_complete else t in
+  let t = if s.executing > 0 then imin t s.heap_at.(0) else t in
   (* A writeback falls due when its accelerator completes, so this
-     event coincides with [next_complete]; it is kept so the skip does
+     event coincides with a completion; it is kept so the skip does
      not rest on that. *)
   let t = if s.paw_count > 0 then imin t s.paw_next_due else t in
   let t =
@@ -1006,18 +1109,18 @@ let next_event s cap =
     | Tca_unit.Queued | Tca_unit.Sync | Tca_unit.Preprogrammed -> t
   else t
 
-(* In an idle cycle [issue_scan] visits every entry, so each waiting
-   accelerator whose operands are ready was a head wait (it would have
-   issued otherwise): credit its unit [n] more. *)
-let rec credit_unit_head_waits s n k =
-  if k < s.count then begin
-    let slot = wrap s (s.head + k) in
-    (if s.st.(slot) = st_waiting && s.d.op.(s.tr_idx.(slot)) = D.op_accel
-        && deps_ready s slot
-     then
-       let u = s.d.accel_unit.(s.tr_idx.(slot)) in
-       s.u_head_wait.(u) <- s.u_head_wait.(u) + n);
-    credit_unit_head_waits s n (k + 1)
+(* In an idle cycle [issue_scan] visits the whole ready set, so each
+   ready accelerator in it was a head wait (it would have issued
+   otherwise): credit its unit [n] more. *)
+let rec credit_unit_head_waits s n slot =
+  let slot = next_ready s slot s.rob in
+  if slot < s.rob then begin
+    let ti = s.tr_idx.(slot) in
+    if s.d.op.(ti) = D.op_accel then begin
+      let u = s.d.accel_unit.(ti) in
+      s.u_head_wait.(u) <- s.u_head_wait.(u) + n
+    end;
+    credit_unit_head_waits s n (slot + 1)
   end
 
 (* Called after an idle cycle that added [head_waits] to

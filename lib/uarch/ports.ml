@@ -27,8 +27,6 @@ let book t c =
   end;
   t.used.(idx) <- t.used.(idx) + 1
 
-let advance _t ~now:_ = ()
-
 (* Top-level rather than a local closure over [t] and [now], so a
    reservation allocates nothing. *)
 let rec reserve_from t now c =

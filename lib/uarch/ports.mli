@@ -17,8 +17,4 @@ val reserve : t -> now:int -> int
     return that cycle. Raises [Failure] if the horizon is exhausted
     (indicates a configuration error, not a program condition). *)
 
-val advance : t -> now:int -> unit
-(** No-op kept for interface stability: cells are re-tagged lazily by
-    {!reserve}, so no explicit aging is needed. *)
-
 val width : t -> int

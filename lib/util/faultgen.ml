@@ -159,7 +159,13 @@ let uarch_spec t =
     dispatch_width = small t;
     u_issue_width = small t;
     commit_width = small t;
-    u_rob_size = (if Prng.int t 3 = 0 then Prng.int_in t 0 2 else Prng.int_in t 2 64);
+    u_rob_size =
+      (* One draw in six past 64 slots: ready bitmaps of three or more
+         62-slot words. *)
+      (match Prng.int t 6 with
+      | 0 | 1 -> Prng.int_in t 0 2
+      | 2 -> Prng.int_in t 65 200
+      | _ -> Prng.int_in t 2 64);
     iq_size = (if Prng.int t 4 = 0 then 1 else Prng.int_in t 1 64);
     lsq_size = (if Prng.int t 4 = 0 then 1 else Prng.int_in t 1 64);
     int_alu_units = small t;

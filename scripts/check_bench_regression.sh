@@ -16,7 +16,7 @@
 # host's absolute speed. CI fails when the fresh ratio falls more than
 # 20% below the committed one, or when either bit-identity check in the
 # fresh run failed. Per workload class (simulator.classes: the X4
-# balanced and memory-bound mixes) the fresh stats must be bit-identical
+# balanced, chain-limited and memory-bound mixes) the fresh stats must be bit-identical
 # to the reference and the simulated cycles must equal the committed
 # count exactly: the count is deterministic, so this gate cannot flake.
 #

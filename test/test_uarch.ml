@@ -1511,6 +1511,148 @@ let test_skip_differential () =
         (match fast with Ok o -> expect o | Error _ -> false))
     skip_cases
 
+(* --- Wakeup-driven issue: targeted differential cases ---
+
+   [Pipeline] issues from a ready set (a bitmap over ROB slots, visited
+   from [head] round the ring) fed by per-producer wakeup lists, and
+   completes from a min-heap; [Pipeline_reference] rescans the whole
+   window every cycle. Each case puts ready-but-unissued entries where
+   that bookkeeping can go wrong — across the ring's wrap, across bitmap
+   words, behind saturated units, blocked loads and head-waiting
+   accelerators — and must match the reference on the [Sim_stats] JSON,
+   the outcome constructor and the diagnostic, with and without a
+   probe. [expect] checks the case reaches the regime it names. *)
+
+let with_rob n c = { c with Config.rob_size = n; iq_size = n; lsq_size = n }
+
+(* One iteration of a mixed body: a miss that stalls commit, a store
+   whose address waits on it and a load blocked behind that store, a
+   multiply chain reading one register twice, and independent FP and
+   ALU work. *)
+let mixed k =
+  let line = 0x2000 + (k mod 4 * 64) in
+  [
+    dram_miss ~dst:1 k;
+    Isa.store ~base:1 ~addr:line ();
+    Isa.load ~dst:4 ~addr:line ();
+    Isa.int_mult ~src1:2 ~src2:2 ~dst:2 ();
+    Isa.fp_alu ~dst:(20 + (k mod 8)) ();
+    Isa.fp_mult ~dst:(28 + (k mod 4)) ();
+  ]
+  @ alus k 3
+
+let wakeup_cases =
+  let cfg_of f = f (Config.hp ()) in
+  [
+    (* Dispatch outruns the single ALU, so a full 20-entry ROB holds
+       ready ALU ops on both sides of slot 0 while the head miss waits. *)
+    ( "full ROB wraps with ready entries both sides of slot 0",
+      cfg_of (fun c -> { (with_rob 20 c) with Config.int_alu_units = 1 }),
+      skip_trace 40 (fun k -> dram_miss ~dst:1 k :: alus k 12),
+      fun o ->
+        (Pipeline.stats_of_outcome o).Sim_stats.stalls.Sim_stats.rob_full > 0
+    );
+    (* Each multiply reads the previous one's result twice: two wakeup
+       nodes in one producer's list. The chain of 200 three-cycle
+       multiplies bounds the run from below. *)
+    ( "src1 = src2 on the same producer",
+      cfg_of Fun.id,
+      skip_trace 200 (fun k ->
+          [ Isa.int_mult ~src1:2 ~src2:2 ~dst:2 (); alu k ]),
+      fun o -> (Pipeline.stats_of_outcome o).Sim_stats.cycles > 200 * 3 );
+    (* The load's operands are ready at dispatch, but the older store to
+       its line waits on a miss, so the load is visited and blocked on
+       every cycle of the miss while younger ALU ops issue past it. Once
+       the store executes the load forwards from it, so the L1 sees only
+       the 20 misses and the 20 committed stores. *)
+    ( "store-blocked load stays ready",
+      cfg_of Fun.id,
+      skip_trace 20 (fun k ->
+          [
+            dram_miss ~dst:1 k;
+            Isa.store ~base:1 ~addr:(0x3000 + (k * 64)) ();
+            Isa.load ~dst:4 ~addr:(0x3000 + (k * 64)) ();
+          ]
+          @ alus k 8),
+      fun o ->
+        let l1 = (Pipeline.stats_of_outcome o).Sim_stats.l1 in
+        l1.Mem_hier.hits + l1.Mem_hier.misses = 40 );
+  ]
+  (* Several ready non-leading accelerators queue behind a miss at the
+     head; each cycle of the miss counts one head wait per accelerator,
+     per unit with two units. *)
+  @ List.map
+      (fun n ->
+        ( Printf.sprintf "ready NL accelerators wait for head, %d unit(s)" n,
+          Config.with_tca_units
+            (Config.hp ~coupling:Config.coupling_nl_t ())
+            (Array.init n Tca_unit.default),
+          skip_trace 15 (fun k ->
+              (dram_miss ~dst:1 k
+              :: List.init 4 (fun j ->
+                     Isa.accel ~unit_id:(j mod n) ~dst:(2 + j)
+                       ~compute_latency:5 ~reads:[||] ~writes:[||] ()))
+              @ alus k 4),
+          fun o ->
+            let st = Pipeline.stats_of_outcome o in
+            st.Sim_stats.accel_wait_for_head_cycles > 0
+            && List.for_all
+                 (fun (u : Sim_stats.unit_stats) ->
+                   u.Sim_stats.wait_for_head_cycles > 0)
+                 st.Sim_stats.per_unit ))
+      [ 1; 2 ]
+  (* One multiplier and one FP unit: ready multiplies and FP ops queue
+     while younger ready ALU ops issue past them. *)
+  @ [
+      ( "int_mult_units = 1, fp_units = 1 saturate behind ready ALU ops",
+        cfg_of (fun c ->
+            { c with Config.int_mult_units = 1; fp_units = 1 }),
+        skip_trace 60 (fun k ->
+            [
+              Isa.int_mult ~dst:(20 + (k mod 4)) ();
+              Isa.int_mult ~dst:(24 + (k mod 4)) ();
+              Isa.fp_alu ~dst:(28 + (k mod 4)) ();
+              Isa.fp_mult ~dst:(32 + (k mod 4)) ();
+            ]
+            @ alus k 2),
+        fun o ->
+          (* 120 multiplies through one unit bound the run from below *)
+          (Pipeline.stats_of_outcome o).Sim_stats.cycles >= 120 );
+    ]
+  (* ROB sizes either side of one and two 62-slot bitmap words; the
+     mixed body fills every slot of the window behind a miss (a full-ROB
+     stall) and wraps it. *)
+  @ List.map
+      (fun n ->
+        ( Printf.sprintf "rob_size %d" n,
+          cfg_of (with_rob n),
+          skip_trace 40 mixed,
+          fun o ->
+            (Pipeline.stats_of_outcome o).Sim_stats.stalls.Sim_stats.rob_full
+            > 0 ))
+      [ 2; 61; 62; 63; 124; 125 ]
+
+let test_wakeup_differential () =
+  (* Any probe selects the per-cycle loop. *)
+  let probe =
+    {
+      Pipeline.on_cycle =
+        (fun ~cycle:_ ~dispatched:_ ~issued:_ ~executing:_ ~rob_occupancy:_ ->
+          ());
+    }
+  in
+  List.iter
+    (fun (name, cfg, trace, expect) ->
+      let fast = Pipeline.run cfg trace in
+      let oracle = outcome_key (Pipeline_reference.run cfg trace) in
+      Alcotest.(check string) (name ^ ": fast = reference") oracle
+        (outcome_key fast);
+      Alcotest.(check string) (name ^ ": probed = reference") oracle
+        (outcome_key (Pipeline.run ~probe cfg trace));
+      Alcotest.(check bool) (name ^ ": reaches its regime") true
+        (match fast with Ok o -> expect o | Error _ -> false))
+    wakeup_cases
+
 let () =
   Alcotest.run "tca_uarch"
     [
@@ -1633,6 +1775,11 @@ let () =
         [
           Alcotest.test_case "differential cases" `Quick
             test_skip_differential;
+        ] );
+      ( "wakeup",
+        [
+          Alcotest.test_case "differential cases" `Quick
+            test_wakeup_differential;
         ] );
       ( "golden",
         [ Alcotest.test_case "workload pins" `Quick test_golden_pins ] );
