@@ -192,7 +192,7 @@ let run_logca () =
 
 let run_partial () =
   banner "X2" "Partial speculation (paper Section VIII extension)";
-  Partial_spec.print (Partial_spec.run ())
+  Partial_spec.print ?telemetry (Partial_spec.run ())
 
 let run_design () =
   banner "X3" "Design-space analysis: Pareto / energy / sensitivity";
@@ -200,27 +200,30 @@ let run_design () =
 
 let run_mechanistic () =
   banner "X4" "Mechanistic CPI model vs simulator";
-  Mechanistic_cmp.print (Mechanistic_cmp.run ())
+  Mechanistic_cmp.print (Mechanistic_cmp.run ?telemetry ())
 
-let run_hashmap () =
-  banner "X7" "Hash-map TCA validation";
-  Hashmap_val.print (Hashmap_val.run ?telemetry ~quick:!quick ())
-
-let run_regex () =
-  banner "X8" "Regular-expression TCA validation";
-  Regex_val.print (Regex_val.run ?telemetry ~quick:!quick ())
-
-let run_strfn () =
-  banner "X9" "String-function TCA validation";
-  Strfn_val.print (Strfn_val.run ?telemetry ~quick:!quick ())
+(* X7-X9: the gap sweeps, one target each (bench target names predate
+   the engine's job names: [regex] runs the [regexv] job's sweep). *)
+let gap_sweep_targets =
+  List.map
+    (fun (name, (sw : Gap_sweep.t)) ->
+      ( name,
+        fun () ->
+          banner sw.Gap_sweep.id (String.capitalize_ascii sw.Gap_sweep.what);
+          Gap_sweep.print sw (Gap_sweep.run ?telemetry ~quick:!quick sw) ))
+    [
+      ("hashmap", Gap_sweep.hashmap);
+      ("regex", Gap_sweep.regex);
+      ("strfn", Gap_sweep.strfn);
+    ]
 
 let run_cores () =
   banner "X6" "HP vs LP core sensitivity (simulator)";
-  Cores_cmp.print (Cores_cmp.run ~quick:!quick ())
+  Cores_cmp.print (Cores_cmp.run ?telemetry ~quick:!quick ())
 
 let run_occupancy () =
   banner "X5" "Accelerator occupancy ablation";
-  Occupancy.print (Occupancy.run ~n:(if !quick then 32 else 64) ())
+  Occupancy.print (Occupancy.run ?telemetry ~n:(if !quick then 32 else 64) ())
 
 (* --- Experiment-engine wall-clock: scheduler parallelism + cache --- *)
 
@@ -697,9 +700,9 @@ let targets =
     ("mechanistic", run_mechanistic);
     ("occupancy", run_occupancy);
     ("cores", run_cores);
-    ("hashmap", run_hashmap);
-    ("regex", run_regex);
-    ("strfn", run_strfn);
+  ]
+  @ gap_sweep_targets
+  @ [
     ("engine", run_engine);
     ("simulator", run_simulator);
     ("scaling", run_scaling);

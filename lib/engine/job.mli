@@ -11,8 +11,9 @@
 type ctx = {
   telemetry : Tca_telemetry.Sink.t option;
       (** Per-job sink, single-domain: the body may use it directly on
-          its own domain, and must fork/join it (see
-          {!Tca_telemetry.Sink.fork}) for work it spreads over [par]. *)
+          its own domain; work it spreads over [par] goes through
+          {!Tca_telemetry.Fork.map}, which gives each element its own
+          fork of the sink and joins them back in element order. *)
   par : Tca_util.Parmap.t;
       (** Intra-job parallelism capability; [Parmap.serial] when the
           engine runs with [--jobs 1]. *)

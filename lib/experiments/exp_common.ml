@@ -89,30 +89,6 @@ let validate_pair ?telemetry ?par ~cfg ~(pair : Meta.pair) ~latency () =
       })
     cmp.Simulator.modes
 
-(* Run each sweep item (workload generation + validation) as one task:
-   fork a child sink per item, evaluate the items through [par], join the
-   children back in item order. The concatenated rows and the merged
-   trace are identical to a serial sweep's. *)
-let par_rows ?telemetry ?(par = Tca_util.Parmap.serial) f items =
-  let items = Array.of_list items in
-  let sinks =
-    Array.map (fun _ -> Option.map Tca_telemetry.Sink.fork telemetry) items
-  in
-  let results =
-    par.Tca_util.Parmap.run
-      (fun i -> f ~telemetry:sinks.(i) items.(i))
-      (Array.init (Array.length items) Fun.id)
-  in
-  (match telemetry with
-  | None -> ()
-  | Some into ->
-      Array.iter
-        (function
-          | Some child -> Tca_telemetry.Sink.join ~into child
-          | None -> ())
-        sinks);
-  List.concat_map Fun.id (Array.to_list results)
-
 let table_headers =
   [
     "workload"; "v"; "a"; "ipc"; "mode"; "sim"; "model"; "error";

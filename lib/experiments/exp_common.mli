@@ -60,18 +60,6 @@ val validate_pair :
     (default serial) spreads the five runs over a pool with identical
     results. *)
 
-val par_rows :
-  ?telemetry:Tca_telemetry.Sink.t ->
-  ?par:Tca_util.Parmap.t ->
-  (telemetry:Tca_telemetry.Sink.t option -> 'a -> validation_row list) ->
-  'a list ->
-  validation_row list
-(** Evaluate one sweep item per task through [par] and concatenate the
-    row lists in item order. Each task gets a fork of [?telemetry],
-    joined back in item order, so rows and merged trace are identical
-    to the serial sweep. The item function must be pure modulo its own
-    sink. *)
-
 val rows_to_table : validation_row list -> string list list
 val table_headers : string list
 

@@ -8,12 +8,12 @@ let app_config =
 
 let accel_latency = 20
 
-let run ?telemetry ?par ?(quick = false) () =
+let run ?telemetry ?(par = Tca_util.Parmap.serial) ?(quick = false) () =
   Tca_telemetry.Timing.with_span telemetry "fig4.run" @@ fun () ->
   let cfg = Exp_common.validation_core () in
   let n_units = if quick then 1200 else 4000 in
-  Exp_common.par_rows ?telemetry ?par
-    (fun ~telemetry n_chunks ->
+  Tca_telemetry.Fork.map_list telemetry par
+    (fun telemetry n_chunks ->
       let scfg =
         Synthetic.config ~app:app_config ~n_units ~n_chunks ~accel_latency
           ~seed:(41 + n_chunks) ()
@@ -25,6 +25,7 @@ let run ?telemetry ?par ?(quick = false) () =
       Exp_common.validate_pair ?telemetry ~cfg ~pair
         ~latency:(float_of_int accel_latency) ())
     (List.filter (fun c -> c <= n_units) (chunk_counts ~quick))
+  |> List.concat
 
 let summary rows =
   Tca_model.Validate.summarize (Exp_common.points_of_rows rows)

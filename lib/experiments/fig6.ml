@@ -1,11 +1,11 @@
 open Tca_workloads
 
-let run ?telemetry ?par ?(n = 64) () =
+let run ?telemetry ?(par = Tca_util.Parmap.serial) ?(n = 64) () =
   Tca_telemetry.Timing.with_span telemetry "fig6.run" @@ fun () ->
   let cfg = Exp_common.validation_core () in
   let dcfg = Dgemm_workload.config ~n () in
-  Exp_common.par_rows ?telemetry ?par
-    (fun ~telemetry dim ->
+  Tca_telemetry.Fork.map_list telemetry par
+    (fun telemetry dim ->
       let pair =
         Tca_telemetry.Timing.with_span telemetry "sim.workload" (fun () ->
             Dgemm_workload.pair dcfg ~dim)
@@ -13,6 +13,7 @@ let run ?telemetry ?par ?(n = 64) () =
       let latency = Exp_common.meta_latency pair.Meta.meta ~cfg in
       Exp_common.validate_pair ?telemetry ~cfg ~pair ~latency ())
     Tca_dgemm.Mma.supported_dims
+  |> List.concat
 
 let summary rows =
   Tca_model.Validate.summarize (Exp_common.points_of_rows rows)

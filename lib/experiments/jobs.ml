@@ -4,6 +4,14 @@ module Registry = Tca_engine.Registry
 
 let job = Job.make
 
+let gap_sweep_job (sw : Gap_sweep.t) =
+  job ~name:sw.Gap_sweep.job
+    ~title:(sw.Gap_sweep.id ^ ": " ^ sw.Gap_sweep.what)
+    (fun ctx ->
+      Gap_sweep.artifact sw
+        (Gap_sweep.run ?telemetry:ctx.Job.telemetry ~par:ctx.Job.par
+           ~quick:ctx.Job.quick sw))
+
 let figure_jobs =
   [
     job ~name:"table1" ~title:"Table I: analytical model parameters"
@@ -79,21 +87,9 @@ let figure_jobs =
         Cores_cmp.artifact
           (Cores_cmp.run ?telemetry:ctx.Job.telemetry ~par:ctx.Job.par
              ~quick:ctx.Job.quick ()));
-    job ~name:"hashmap" ~title:"X7: hash-map TCA validation"
-      (fun ctx ->
-        Hashmap_val.artifact
-          (Hashmap_val.run ?telemetry:ctx.Job.telemetry ~par:ctx.Job.par
-             ~quick:ctx.Job.quick ()));
-    job ~name:"regexv" ~title:"X8: regular-expression TCA validation"
-      (fun ctx ->
-        Regex_val.artifact
-          (Regex_val.run ?telemetry:ctx.Job.telemetry ~par:ctx.Job.par
-             ~quick:ctx.Job.quick ()));
-    job ~name:"strfn" ~title:"X9: string-function TCA validation"
-      (fun ctx ->
-        Strfn_val.artifact
-          (Strfn_val.run ?telemetry:ctx.Job.telemetry ~par:ctx.Job.par
-             ~quick:ctx.Job.quick ()));
+  ]
+  @ List.map gap_sweep_job Gap_sweep.all
+  @ [
     job ~name:"composition"
       ~title:"X10: composed-model speedup vs chained fraction (commit port)"
       (fun ctx ->

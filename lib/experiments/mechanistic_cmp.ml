@@ -57,20 +57,16 @@ let case_trace app =
 
 let run ?telemetry ?(par = Tca_util.Parmap.serial) () =
   let cfg = Config.hp () in
-  let cases_a = Array.of_list cases in
-  let sinks =
-    Array.map (fun _ -> Option.map Tca_telemetry.Sink.fork telemetry) cases_a
-  in
-  let eval i =
-    let label, app = cases_a.(i) in
-    let trace =
-      Tca_telemetry.Timing.with_span sinks.(i) "sim.workload" (fun () ->
-          case_trace app)
-    in
-    let stats =
-      Tca_telemetry.Timing.with_span sinks.(i) "sim.step" (fun () ->
-          Pipeline.run_exn ?telemetry:sinks.(i) cfg trace)
-    in
+  Tca_telemetry.Fork.map_list telemetry par
+    (fun telemetry (label, app) ->
+      let trace =
+        Tca_telemetry.Timing.with_span telemetry "sim.workload" (fun () ->
+            case_trace app)
+      in
+      let stats =
+        Tca_telemetry.Timing.with_span telemetry "sim.step" (fun () ->
+            Pipeline.run_exn ?telemetry cfg trace)
+      in
       (* Event rates the architect would know: instruction mix from the
          code, predictor accuracy from hardware counters, steady-state
          miss rates from working-set sizes (uniform random accesses:
@@ -105,7 +101,7 @@ let run ?telemetry ?(par = Tca_util.Parmap.serial) () =
         Mechanistic.stats ~branch_rate ~mispredict_rate ~load_rate
           ~dram_miss_rate ~mlp
           ~chain_ipc:
-            (Tca_telemetry.Timing.with_span sinks.(i) "sim.calibrate"
+            (Tca_telemetry.Timing.with_span telemetry "sim.calibrate"
                (fun () -> chain_ipc_of app))
           ()
       in
@@ -116,19 +112,8 @@ let run ?telemetry ?(par = Tca_util.Parmap.serial) () =
         simulated_ipc = stats.Sim_stats.ipc;
         error_pct =
           100.0 *. (predicted -. stats.Sim_stats.ipc) /. stats.Sim_stats.ipc;
-      }
-  in
-  let rows =
-    par.Tca_util.Parmap.run eval (Array.init (Array.length cases_a) Fun.id)
-  in
-  (match telemetry with
-  | Some into ->
-      Array.iter
-        (function
-          | Some child -> Tca_telemetry.Sink.join ~into child | None -> ())
-        sinks
-  | None -> ());
-  Array.to_list rows
+      })
+    cases
 
 let artifact rows =
   let module A = Tca_engine.Artifact in

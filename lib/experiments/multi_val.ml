@@ -74,23 +74,9 @@ let scenarios ?(quick = false) () =
 let run ?telemetry ?(par = Tca_util.Parmap.serial) ?(quick = false) () =
   Tca_telemetry.Timing.with_span telemetry "multi_val.run" @@ fun () ->
   let cfg = Exp_common.validation_core () in
-  let scs = Array.of_list (scenarios ~quick ()) in
-  let sinks =
-    Array.map (fun _ -> Option.map Tca_telemetry.Sink.fork telemetry) scs
-  in
-  let results =
-    par.Tca_util.Parmap.run
-      (fun i -> (scs.(i), validate ?telemetry:sinks.(i) ~cfg scs.(i)))
-      (Array.init (Array.length scs) Fun.id)
-  in
-  (match telemetry with
-  | Some into ->
-      Array.iter
-        (function
-          | Some child -> Tca_telemetry.Sink.join ~into child | None -> ())
-        sinks
-  | None -> ());
-  Array.to_list results
+  Tca_telemetry.Fork.map_list telemetry par
+    (fun telemetry sc -> (sc, validate ?telemetry ~cfg sc))
+    (scenarios ~quick ())
 
 (* Per-unit simulator breakdown across all scenarios and modes: the
    [Sim_stats.per_unit] counters the refactor added, which only exist

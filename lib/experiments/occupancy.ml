@@ -16,43 +16,25 @@ let run ?telemetry ?(par = Tca_util.Parmap.serial) ?(n = 32) () =
   let pair = Dgemm_workload.pair (Dgemm_workload.config ~n ()) ~dim:4 in
   let base_cfg = Exp_common.validation_core () in
   let baseline = Pipeline.run_exn ?telemetry base_cfg pair.Meta.baseline in
-  let combos =
-    Array.of_list
-      (List.concat_map
-         (fun occupancy ->
-           List.map (fun coupling -> (occupancy, coupling)) Config.all_couplings)
-         [ Config.Pipelined; Config.Exclusive ])
-  in
-  let sinks =
-    Array.map (fun _ -> Option.map Tca_telemetry.Sink.fork telemetry) combos
-  in
-  let eval i =
-    let occupancy, coupling = combos.(i) in
-    let cfg =
+  Tca_telemetry.Fork.map_list telemetry par
+    (fun telemetry (occupancy, coupling) ->
+      let cfg =
+        {
+          (Config.with_coupling base_cfg coupling) with
+          Config.tca_occupancy = occupancy;
+        }
+      in
+      let stats = Pipeline.run_exn ?telemetry cfg pair.Meta.accelerated in
       {
-        (Config.with_coupling base_cfg coupling) with
-        Config.tca_occupancy = occupancy;
-      }
-    in
-    let stats = Pipeline.run_exn ?telemetry:sinks.(i) cfg pair.Meta.accelerated in
-    {
-      occupancy = occupancy_name occupancy;
-      mode = Exp_common.mode_of_coupling coupling;
-      cycles = stats.Sim_stats.cycles;
-      speedup = Sim_stats.speedup_exn ~baseline ~accelerated:stats;
-    }
-  in
-  let rows =
-    par.Tca_util.Parmap.run eval (Array.init (Array.length combos) Fun.id)
-  in
-  (match telemetry with
-  | Some into ->
-      Array.iter
-        (function
-          | Some child -> Tca_telemetry.Sink.join ~into child | None -> ())
-        sinks
-  | None -> ());
-  Array.to_list rows
+        occupancy = occupancy_name occupancy;
+        mode = Exp_common.mode_of_coupling coupling;
+        cycles = stats.Sim_stats.cycles;
+        speedup = Sim_stats.speedup_exn ~baseline ~accelerated:stats;
+      })
+    (List.concat_map
+       (fun occupancy ->
+         List.map (fun coupling -> (occupancy, coupling)) Config.all_couplings)
+       [ Config.Pipelined; Config.Exclusive ])
 
 let artifact rows =
   let module A = Tca_engine.Artifact in

@@ -52,34 +52,19 @@ let validate ?telemetry ?(par = Tca_util.Parmap.serial) ?(quick = false) () =
   let s =
     Exp_common.scenario_of_meta pair.Tca_workloads.Meta.meta ~latency:1.0
   in
-  let ps = [| 0.0; 0.25; 0.5; 0.75; 1.0 |] in
-  let sinks =
-    Array.map (fun _ -> Option.map Tca_telemetry.Sink.fork telemetry) ps
-  in
-  let eval i =
-    let p = ps.(i) in
-    let run_cfg = { cfg with Config.tca_speculate_fraction = Some p } in
-    let stats =
-      Pipeline.run_exn ?telemetry:sinks.(i) run_cfg
-        pair.Tca_workloads.Meta.accelerated
-    in
-    {
-      p;
-      sim_speedup = Sim_stats.speedup_exn ~baseline ~accelerated:stats;
-      model_speedup = Partial.speedup model_core s ~trailing:true ~p_speculate:p;
-    }
-  in
-  let rows =
-    par.Tca_util.Parmap.run eval (Array.init (Array.length ps) Fun.id)
-  in
-  (match telemetry with
-  | Some into ->
-      Array.iter
-        (function
-          | Some child -> Tca_telemetry.Sink.join ~into child | None -> ())
-        sinks
-  | None -> ());
-  Array.to_list rows
+  Tca_telemetry.Fork.map_list telemetry par
+    (fun telemetry p ->
+      let run_cfg = { cfg with Config.tca_speculate_fraction = Some p } in
+      let stats =
+        Pipeline.run_exn ?telemetry run_cfg pair.Tca_workloads.Meta.accelerated
+      in
+      {
+        p;
+        sim_speedup = Sim_stats.speedup_exn ~baseline ~accelerated:stats;
+        model_speedup =
+          Partial.speedup model_core s ~trailing:true ~p_speculate:p;
+      })
+    [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
 
 let monotone rows =
   let rec go = function
@@ -136,4 +121,5 @@ let artifact ?telemetry ?par ?quick rows =
            (monotone sim));
     ]
 
-let print rows = print_string (Tca_engine.Artifact.to_text (artifact rows))
+let print ?telemetry rows =
+  print_string (Tca_engine.Artifact.to_text (artifact ?telemetry rows))

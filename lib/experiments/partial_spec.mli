@@ -41,4 +41,5 @@ val artifact :
 (** The model blend table, the 95%-confidence note, and the simulator
     cross-check (which this call runs). *)
 
-val print : row list -> unit
+val print : ?telemetry:Tca_telemetry.Sink.t -> row list -> unit
+(** Print {!artifact}, whose simulator runs record into [?telemetry]. *)

@@ -81,7 +81,8 @@ val clear : t -> unit
     order} once all tasks have settled. Because a serial execution
     also emits task [i]'s events before task [i+1]'s, the joined
     event sequence is identical to the serial one — only wall-clock
-    timestamps and durations differ. *)
+    timestamps and durations differ. {!Fork.map} packages the protocol
+    for work spread over a {!Tca_util.Parmap.t}. *)
 
 val fork : t -> t
 (** A fresh, empty sink with the parent's sampling interval; carries a

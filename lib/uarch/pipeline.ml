@@ -33,22 +33,21 @@
      producer has not completed; the heap holds exactly the executing
      entries ([executing] is its size). Nothing is squashed, so no list
      or heap entry goes stale;
-   - the run loop is split: the [?telemetry:None] + [?probe:None] path
-     does no interval bookkeeping at all, the instrumented path is the
-     reference loop verbatim;
-   - the fast path advances from event to event: after a cycle in which
-     nothing completed, committed, issued or dispatched, it jumps the
-     clock to the earliest cycle at which any stage can change state —
-     the next completion (the heap top), the next accelerator
-     writeback ([paw_next_due]), the done head's commit time
-     ([complete_at + commit_depth]), the redirect resume
+   - there is one run loop, and it advances from event to event: after
+     a cycle in which nothing completed, committed, issued or
+     dispatched, it jumps the clock to the earliest cycle at which any
+     stage can change state — the next completion (the heap top), the
+     next accelerator writeback ([paw_next_due]), the done head's
+     commit time ([complete_at + commit_depth]), the redirect resume
      ([fetch_resume_at]), the end of synchronous CSR writes
      ([cfg_ready_at]), the next instruction's descriptor-queue release,
      or [cap + 1] for the watchdog — and credits the skipped cycles'
      occupancy, stall reason and head waits in one step. Exact, not an
-     approximation: every skipped cycle would have repeated the idle one.
-     The instrumented path (a [?probe] or [?telemetry] is given) and
-     [Pipeline_reference] still step every cycle.
+     approximation: every skipped cycle would have repeated the idle
+     one. Observers see the same: with a sink the jump also stops at
+     the next interval boundary, so each flush reads that cycle's
+     counters, and a probe is called once per skipped cycle with the
+     idle cycle's values. [Pipeline_reference] steps every cycle.
 
    The stages and the memory models they call (ports, caches, TLB)
    allocate nothing per cycle or per access: their loops — the heap
@@ -66,6 +65,44 @@ type probe = {
     cycle:int -> dispatched:int -> issued:int -> executing:int ->
     rob_occupancy:int -> unit;
 }
+
+(* An attached sink and its per-interval state: a snapshot of the
+   cumulative counters at the last flush, so each flush emits exact
+   deltas. Because the final (possibly partial) interval is flushed
+   when the run ends, the deltas of every series sum to the
+   corresponding [Sim_stats] total by construction. *)
+type telemetry = {
+  sink : Tca_telemetry.Sink.t;
+  iv : int;  (* the sink's sampling interval *)
+  mutable last_cycle : int;  (* cycle of the previous flush *)
+  mutable s_rob : int;
+  mutable s_iq : int;
+  mutable s_lsq : int;
+  mutable s_serialize : int;
+  mutable s_redirect : int;
+  mutable s_drained : int;
+  mutable s_committed : int;
+  mutable s_occupancy_sum : int;
+  mutable acc_dispatched : int;  (* accumulated since the last flush *)
+  mutable acc_issued : int;
+}
+
+let new_telemetry sink =
+  {
+    sink;
+    iv = Tca_telemetry.Sink.interval sink;
+    last_cycle = 0;
+    s_rob = 0;
+    s_iq = 0;
+    s_lsq = 0;
+    s_serialize = 0;
+    s_redirect = 0;
+    s_drained = 0;
+    s_committed = 0;
+    s_occupancy_sum = 0;
+    acc_dispatched = 0;
+    acc_issued = 0;
+  }
 
 (* ROB entry states. *)
 let st_empty = 0
@@ -87,10 +124,12 @@ let stall_config_queue = 8
 
 type state = {
   cfg : Config.t;
-  telemetry : Tca_telemetry.Sink.t option;
-      (* Observation only: instrumentation reads simulator state, never
-         writes it, so an attached sink cannot perturb results (asserted
-         by the fuzz harness). *)
+  (* Observers, read once per cycle by [run_loop]. Observation only:
+     instrumentation reads simulator state, never writes it, so an
+     attached probe or sink cannot perturb results (asserted by the fuzz
+     harness). *)
+  probe : probe option;
+  telemetry : telemetry option;
   trace : Trace.t;
   d : D.t;  (* pre-decoded struct-of-arrays view of [trace] *)
   tlen : int;
@@ -222,7 +261,7 @@ type state = {
    sign bit of OCaml's 63-bit int. *)
 let ready_bits = 62
 
-let create ?telemetry cfg trace =
+let create ?probe ?telemetry cfg trace =
   let r = cfg.Config.rob_size in
   let bp = Bpred.create cfg.Config.bpred in
   let lat = Array.make 8 0 in
@@ -235,7 +274,8 @@ let create ?telemetry cfg trace =
   let nu = Array.length units in
   {
     cfg;
-    telemetry;
+    probe;
+    telemetry = Option.map new_telemetry telemetry;
     trace;
     d = Trace.decoded trace;
     tlen = Trace.length trace;
@@ -622,7 +662,7 @@ let issue_accel s slot ti u =
   s.u_busy.(u) <- s.u_busy.(u) + (complete - s.cycle);
   (match s.telemetry with
   | None -> ()
-  | Some sink ->
+  | Some { sink; _ } ->
       (* Invoke-to-complete span; its duration is exactly this
          invocation's contribution to [accel_busy]. *)
       Tca_telemetry.Sink.span sink ~cat:"accel"
@@ -842,7 +882,7 @@ let rec dispatch_loop s dispatched =
             s.fetch_resume_at <- max_int;
             match s.telemetry with
             | None -> ()
-            | Some sink ->
+            | Some { sink; _ } ->
                 Tca_telemetry.Sink.instant sink ~cat:"branch"
                   ~args:[ ("pc", Tca_util.Json.Int pc) ]
                   ~ts:(float_of_int s.cycle) "flush.mispredict"
@@ -877,7 +917,7 @@ let rec dispatch_loop s dispatched =
            | Tca_unit.Sync -> ());
         match s.telemetry with
         | None -> ()
-        | Some sink ->
+        | Some { sink; _ } ->
             Tca_telemetry.Sink.instant sink ~cat:"accel"
               ~args:
                 (("rob_occupancy", Tca_util.Json.Int (s.count - 1))
@@ -916,8 +956,6 @@ let dispatch_stage s =
      reasons about. *)
   if dispatched = 0 then count_stall s s.stall_reason 1;
   dispatched
-
-let executing_occupancy s = s.executing
 
 let stats_of s =
   {
@@ -983,28 +1021,10 @@ let stats_of_outcome = function
 
 let default_cycle_budget trace = 100_000 + (500 * Trace.length trace)
 
-(* Per-interval telemetry: a snapshot of the cumulative counters at the
-   last flush, so each flush emits exact deltas. Because the final
-   (possibly partial) interval is flushed when the run ends, the deltas
-   of every series sum to the corresponding [Sim_stats] total by
-   construction. *)
-type interval_snap = {
-  mutable last_cycle : int;  (* cycle of the previous flush *)
-  mutable s_rob : int;
-  mutable s_iq : int;
-  mutable s_lsq : int;
-  mutable s_serialize : int;
-  mutable s_redirect : int;
-  mutable s_drained : int;
-  mutable s_committed : int;
-  mutable s_occupancy_sum : int;
-  mutable acc_dispatched : int;  (* accumulated since the last flush *)
-  mutable acc_issued : int;
-}
-
-let flush_interval s sink snap ~now =
+let flush_interval s snap ~now =
   let len = now - snap.last_cycle in
   if len > 0 then begin
+    let sink = snap.sink in
     let ts = float_of_int now in
     let f = float_of_int in
     Tca_telemetry.Sink.counter sink ~cat:"sim" ~ts "sim.stalls"
@@ -1042,8 +1062,17 @@ let flush_interval s sink snap ~now =
     snap.acc_issued <- 0
   end
 
-let finish_telemetry s sink snap outcome_stats =
-  flush_interval s sink snap ~now:s.cycle;
+(* Flush the interval that ends at the current cycle, if one does:
+   called after every advance of the clock, stepped or jumped. *)
+let[@inline] tick_interval s =
+  match s.telemetry with
+  | Some snap when s.cycle mod snap.iv = 0 ->
+      flush_interval s snap ~now:s.cycle
+  | Some _ | None -> ()
+
+let finish_telemetry s snap outcome_stats =
+  flush_interval s snap ~now:s.cycle;
+  let sink = snap.sink in
   Tca_telemetry.Sink.span sink ~cat:"sim" ~ts:0.0 ~dur:(float_of_int s.cycle)
     ~args:
       [
@@ -1069,7 +1098,7 @@ let watchdog_diag s =
   Tca_util.Diag.Watchdog
     { cycles = s.cycle; committed = s.committed; total = s.tlen }
 
-(* --- event-driven clock advance (fast path only) ---
+(* --- event-driven clock advance ---
 
    A cycle in which nothing completed, committed, issued or dispatched
    leaves the ROB, the rename table, the queues and the ports as they
@@ -1125,28 +1154,44 @@ let rec credit_unit_head_waits s n slot =
 
 (* Called after an idle cycle that added [head_waits] to
    [accel_head_wait]: jump to [next_event], crediting the skipped
-   cycles exactly as stepping through them would. *)
+   cycles exactly as stepping through them would. A sink's next
+   interval boundary also stops the jump, so the flush there reads
+   that cycle's counters; a probe sees each skipped cycle, with
+   nothing dispatched or issued and [executing] and the ROB occupancy
+   unchanged. *)
 let skip_idle s cap head_waits =
   let t = next_event s cap in
+  let t =
+    match s.telemetry with
+    | Some snap -> imin t (((s.cycle / snap.iv) + 1) * snap.iv)
+    | None -> t
+  in
   let n = t - s.cycle in
   if n > 0 && t < max_int then begin
+    (match s.probe with
+    | Some p ->
+        for cycle = s.cycle to t - 1 do
+          p.on_cycle ~cycle ~dispatched:0 ~issued:0 ~executing:s.executing
+            ~rob_occupancy:s.count
+        done
+    | None -> ());
     s.occupancy_sum <- s.occupancy_sum + (n * s.count);
     count_stall s s.stall_reason n;
     if head_waits > 0 then begin
       s.accel_head_wait <- s.accel_head_wait + (n * head_waits);
       credit_unit_head_waits s n 0
     end;
-    s.cycle <- t
+    s.cycle <- t;
+    tick_interval s
   end
 
-(* The uninstrumented loop: no per-cycle option match, no interval
-   bookkeeping, no probe dispatch — the four stages, two counter
-   updates and, after an idle cycle, a jump over the cycles that would
-   repeat it. Returns the watchdog diagnostic if the budget expired.
-   The watchdog snapshot and the stats snapshot are taken at the same
-   instant, so [diag.committed = stats.committed] holds by
-   construction. *)
-let rec run_fast s cap =
+(* The run loop: the four stages, the occupancy counter, the observers
+   (the probe per cycle, the sink per interval) and, after an idle
+   cycle, a jump over the cycles that would repeat it. Returns the
+   watchdog diagnostic if the budget expired. The watchdog snapshot and
+   the stats snapshot are taken at the same instant, so
+   [diag.committed = stats.committed] holds by construction. *)
+let rec run_loop s cap =
   if s.next_fetch >= s.tlen && s.count = 0 then None
   else if s.cycle > cap then Some (watchdog_diag s)
   else begin
@@ -1158,44 +1203,26 @@ let rec run_fast s cap =
     let issued = issue_stage s in
     let dispatched = dispatch_stage s in
     s.occupancy_sum <- s.occupancy_sum + s.count;
+    (match s.probe with
+    | Some p ->
+        p.on_cycle ~cycle:s.cycle ~dispatched ~issued ~executing:s.executing
+          ~rob_occupancy:s.count
+    | None -> ());
     s.cycle <- s.cycle + 1;
+    (match s.telemetry with
+    | Some snap ->
+        snap.acc_dispatched <- snap.acc_dispatched + dispatched;
+        snap.acc_issued <- snap.acc_issued + issued
+    | None -> ());
+    tick_interval s;
     (* With nothing issued, an unchanged [executing] means nothing
        completed either. *)
     if
       issued = 0 && dispatched = 0 && s.committed = committed
       && s.executing = executing
     then skip_idle s cap (s.accel_head_wait - head_waits);
-    run_fast s cap
+    run_loop s cap
   end
-
-(* The instrumented loop: the reference run loop verbatim (per-cycle
-   probe callback, interval accumulation, periodic flush). *)
-let run_instrumented s cap probe snap =
-  let watchdog = ref None in
-  while !watchdog = None && (s.next_fetch < s.tlen || s.count > 0) do
-    if s.cycle > cap then watchdog := Some (watchdog_diag s)
-    else begin
-      complete_stage s;
-      commit_stage s;
-      let issued = issue_stage s in
-      let dispatched = dispatch_stage s in
-      s.occupancy_sum <- s.occupancy_sum + s.count;
-      (match probe with
-      | Some p ->
-          p.on_cycle ~cycle:s.cycle ~dispatched ~issued
-            ~executing:(executing_occupancy s) ~rob_occupancy:s.count
-      | None -> ());
-      s.cycle <- s.cycle + 1;
-      match s.telemetry with
-      | None -> ()
-      | Some sink ->
-          snap.acc_dispatched <- snap.acc_dispatched + dispatched;
-          snap.acc_issued <- snap.acc_issued + issued;
-          if s.cycle mod Tca_telemetry.Sink.interval sink = 0 then
-            flush_interval s sink snap ~now:s.cycle
-    end
-  done;
-  !watchdog
 
 (* A trace invoking a unit id outside [cfg.tca_units] would index the
    per-unit arrays out of bounds; reject the pairing up front. *)
@@ -1228,47 +1255,25 @@ let run ?probe ?telemetry cfg trace =
   with
   | Result.Error d -> Result.Error d
   | Ok () ->
-      let s = create ?telemetry cfg trace in
+      let s = create ?probe ?telemetry cfg trace in
       let cap =
         match cfg.Config.max_cycles with
         | Some c -> c
         | None -> default_cycle_budget trace
       in
-      let watchdog, snap =
-        match (telemetry, probe) with
-        | None, None -> (run_fast s cap, None)
-        | _ ->
-            let snap =
-              {
-                last_cycle = 0;
-                s_rob = 0;
-                s_iq = 0;
-                s_lsq = 0;
-                s_serialize = 0;
-                s_redirect = 0;
-                s_drained = 0;
-                s_committed = 0;
-                s_occupancy_sum = 0;
-                acc_dispatched = 0;
-                acc_issued = 0;
-              }
-            in
-            (run_instrumented s cap probe snap, Some snap)
-      in
+      let watchdog = run_loop s cap in
       let outcome =
         match watchdog with
         | Some diag -> Partial { stats = stats_of s; diag }
         | None -> Complete (stats_of s)
       in
-      (match (s.telemetry, snap) with
-      | Some sink, Some snap ->
-          (match watchdog with
-          | Some _ ->
-              Tca_telemetry.Sink.instant sink ~cat:"sim"
-                ~ts:(float_of_int s.cycle) "sim.watchdog"
-          | None -> ());
-          finish_telemetry s sink snap (stats_of_outcome outcome)
-      | _ -> ());
+      (match s.telemetry with
+      | Some snap ->
+          if Option.is_some watchdog then
+            Tca_telemetry.Sink.instant snap.sink ~cat:"sim"
+              ~ts:(float_of_int s.cycle) "sim.watchdog";
+          finish_telemetry s snap (stats_of_outcome outcome)
+      | None -> ());
       Ok outcome
 
 let run_exn ?probe ?telemetry cfg trace =

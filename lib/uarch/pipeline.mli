@@ -56,11 +56,14 @@ val run :
     observation-only: results are bit-identical with and without a
     sink.
 
-    Without [?probe] and [?telemetry] the run advances from event to
-    event, jumping over cycles in which no stage can change state, with
-    exactly the statistics of stepping through them. Supplying either
-    selects the per-cycle loop instead, so [on_cycle] sees every cycle
-    and the sink's intervals are exact. *)
+    The run advances from event to event, jumping over cycles in which
+    no stage can change state, with exactly the statistics of stepping
+    through them. A probe or a sink does not change that, nor what it
+    observes: the jump stops at each of the sink's interval boundaries,
+    so every flush reads that cycle's counters, and [on_cycle] is
+    called once per skipped cycle, with [dispatched = issued = 0] and
+    [executing] and [rob_occupancy] unchanged — exactly the calls and
+    events of stepping every cycle, as {!Pipeline_reference} does. *)
 
 val run_exn :
   ?probe:probe -> ?telemetry:Tca_telemetry.Sink.t -> Config.t -> Trace.t ->

@@ -44,7 +44,6 @@ let contain i f =
            })
 
 let run_batch ?telemetry ?(par = Tca_util.Parmap.serial) entries =
-  let n = Array.length entries in
   (* Decode every distinct trace eagerly, before the fan-out: the memo
      on [Trace.t] makes later decodes free, and pre-populating it here
      keeps parallel domains from racing to duplicate the same work
@@ -59,34 +58,19 @@ let run_batch ?telemetry ?(par = Tca_util.Parmap.serial) entries =
             | Error d -> Some d)
           entries)
   in
-  let sinks =
-    Array.init n (fun _ -> Option.map Tca_telemetry.Sink.fork telemetry)
-  in
-  let results =
-    par.Tca_util.Parmap.run
-      (fun i ->
-        match decode_failures.(i) with
-        | Some d -> Error d
-        | None ->
-            contain i (fun () ->
-                let cfg, trace = entries.(i) in
-                (* The span lands in the entry's own forked sink, so the
-                   merged trace carries it at the same position whatever
-                   [par] is — on the lane of the domain that ran it. *)
-                Tca_telemetry.Timing.with_span sinks.(i) "sim.step" (fun () ->
-                    Pipeline.run ?telemetry:sinks.(i) cfg trace)))
-      (Array.init n Fun.id)
-  in
-  (match telemetry with
-  | None -> ()
-  | Some into ->
-      Tca_telemetry.Timing.with_span telemetry "telemetry.join" (fun () ->
-          Array.iter
-            (function
-              | Some child -> Tca_telemetry.Sink.join ~into child
-              | None -> ())
-            sinks));
-  results
+  Tca_telemetry.Fork.map telemetry par
+    (fun sink i ->
+      match decode_failures.(i) with
+      | Some d -> Error d
+      | None ->
+          contain i (fun () ->
+              let cfg, trace = entries.(i) in
+              (* The span lands in the entry's own forked sink, so the
+                 merged trace carries it at the same position whatever
+                 [par] is — on the lane of the domain that ran it. *)
+              Tca_telemetry.Timing.with_span sink "sim.step" (fun () ->
+                  Pipeline.run ?telemetry:sink cfg trace)))
+    (Array.init (Array.length entries) Fun.id)
 
 let compare_modes ?telemetry ?par ~cfg ~baseline ~accelerated () =
   (* The five pipeline runs (baseline + one per coupling) are mutually

@@ -401,7 +401,10 @@ let simulator_case i g =
 
 (* Telemetry must be pure observation: the same trace, config and seed
    with a sink attached has to produce bit-identical statistics to the
-   plain run — including under hostile configs that trip the watchdog. *)
+   plain run — including under hostile configs that trip the watchdog.
+   What the sink records on the simulator track must equal what
+   [Pipeline_reference], which steps every cycle, records on a sink of
+   the same interval. *)
 let telemetry_case i g =
   let open Tca_uarch in
   let cfg =
@@ -422,7 +425,25 @@ let telemetry_case i g =
         | Error _ -> None
       in
       if strip plain <> strip traced then
-        record i "telemetry" "sink attachment changed simulation results")
+        record i "telemetry" "sink attachment changed simulation results";
+      let ref_sink = Tca_telemetry.Sink.create ~interval:16 () in
+      ignore (Pipeline_reference.run ~telemetry:ref_sink cfg trace);
+      let sim_track sink =
+        List.filter_map
+          (fun (e : Tca_telemetry.Sink.event) ->
+            if e.Tca_telemetry.Sink.pid = Tca_telemetry.Sink.track_sim then
+              Some
+                ( e.Tca_telemetry.Sink.name,
+                  e.Tca_telemetry.Sink.ph,
+                  e.Tca_telemetry.Sink.ts,
+                  e.Tca_telemetry.Sink.dur,
+                  e.Tca_telemetry.Sink.args )
+            else None)
+          (Tca_telemetry.Sink.events sink)
+      in
+      if sim_track sink <> sim_track ref_sink then
+        record i "telemetry"
+          "simulator-track events differ from Pipeline_reference's")
 
 (* Static analyzer parity: the lint pass is total over well-formed
    traces (never raises), and the static cycles lower bound never

@@ -193,7 +193,9 @@ let test_workload_determinism () =
   Alcotest.(check (float 1e-12)) "same probes" m1 m2
 
 let test_experiment_quick () =
-  let rows, mean_probes = Tca_experiments.Hashmap_val.run ~quick:true () in
+  let rows, mean_probes =
+    Tca_experiments.(Gap_sweep.run ~quick:true Gap_sweep.hashmap)
+  in
   Alcotest.(check int) "one gap x 4 modes" 4 (List.length rows);
   Alcotest.(check bool) "probes sane" true (mean_probes >= 1.0);
   (* L_T must be the simulator's best mode here too. *)

@@ -242,7 +242,9 @@ let test_workload_determinism () =
   Alcotest.(check (float 1e-12)) "same scan" m1 m2
 
 let test_experiment_quick () =
-  let rows, mean_scan = Tca_experiments.Regex_val.run ~quick:true () in
+  let rows, mean_scan =
+    Tca_experiments.(Gap_sweep.run ~quick:true Gap_sweep.regex)
+  in
   Alcotest.(check int) "4 rows" 4 (List.length rows);
   Alcotest.(check bool) "scan sane" true (mean_scan > 10.0);
   let sim m =

@@ -150,7 +150,9 @@ let test_workload_validation () =
            ~n_calls:10 ~app_instrs_per_call:10 ()))
 
 let test_experiment_quick () =
-  let rows, mean_bytes = Tca_experiments.Strfn_val.run ~quick:true () in
+  let rows, mean_bytes =
+    Tca_experiments.(Gap_sweep.run ~quick:true Gap_sweep.strfn)
+  in
   Alcotest.(check int) "4 rows" 4 (List.length rows);
   Alcotest.(check bool) "bytes sane" true (mean_bytes > 8.0);
   let sim m =

@@ -446,6 +446,59 @@ let test_fork_join_equals_serial () =
   Alcotest.(check int) "metrics fold to serial totals" (work serial)
     (work parent)
 
+(* [Fork.map] through a pool with two worker domains returns what it
+   returns under [Parmap.serial] — every result in element order — and
+   merges the same events: the simulator-track ones exactly, the
+   wall-clock [telemetry.join] span up to its timestamp. On failure it
+   re-raises the lowest-index element's exception and joins nothing. *)
+let test_fork_map_pool_equals_serial () =
+  let xs = Array.init 16 Fun.id in
+  let task sink i =
+    (* uneven work, so pooled elements finish out of order *)
+    for k = 0 to i mod 5 do
+      Option.iter (fun s -> emit_task s ((10 * i) + k)) sink
+    done;
+    i * i
+  in
+  let shape (e : Sink.event) =
+    if e.Sink.pid = Sink.track_wall then
+      (e.Sink.name, e.Sink.cat, e.Sink.ph, 0.0, e.Sink.pid)
+    else event_shape e
+  in
+  let run par f =
+    let sink = Sink.create ~metrics:(Tca_telemetry.Metrics.create ()) () in
+    let result =
+      match Fork.map (Some sink) par f xs with
+      | ys -> Ok ys
+      | exception Failure m -> Error m
+    in
+    (result, List.map shape (Sink.events sink))
+  in
+  let fails sink i =
+    ignore (task sink i);
+    if i = 3 || i = 9 then failwith (string_of_int i) else i
+  in
+  let serial_ok, serial_events = run Tca_util.Parmap.serial task in
+  let serial_err, serial_err_events =
+    run Tca_util.Parmap.serial fails
+  in
+  Tca_engine.Pool.with_pool ~workers:2 @@ fun pool ->
+  let par = Tca_engine.Pool.parmap pool in
+  let pool_ok, pool_events = run par task in
+  Alcotest.(check bool) "results in element order" true
+    (serial_ok = Ok (Array.map (fun i -> i * i) xs) && pool_ok = serial_ok);
+  Alcotest.(check bool) "merged events equal serial" true
+    (pool_events = serial_events);
+  Alcotest.(check bool) "joined inside a telemetry.join span" true
+    (List.exists
+       (fun (name, _, _, _, _) -> name = "telemetry.join")
+       pool_events);
+  let pool_err, pool_err_events = run par fails in
+  Alcotest.(check bool) "lowest-index failure propagates" true
+    (serial_err = Error "3" && pool_err = Error "3");
+  Alcotest.(check bool) "no child joined on failure" true
+    (serial_err_events = [] && pool_err_events = [])
+
 let test_fork_carries_capabilities () =
   let bare = Sink.create ~interval:7 () in
   let child = Sink.fork bare in
@@ -776,6 +829,8 @@ let () =
             test_fork_join_equals_serial;
           Alcotest.test_case "fork carries capabilities" `Quick
             test_fork_carries_capabilities;
+          Alcotest.test_case "fork map pool = serial" `Quick
+            test_fork_map_pool_equals_serial;
           Alcotest.test_case "join empty child" `Quick test_join_empty_child;
         ] );
       ( "timing",

@@ -1351,13 +1351,16 @@ let test_golden_pins () =
 
 (* --- Event-driven clock advance: targeted differential cases ---
 
-   [Pipeline.run] without a probe jumps over idle cycles; with a probe
-   it steps every cycle, as [Pipeline_reference] always does. Each case
-   aims a stall span at one event boundary of the jump and must match
-   the reference on the [Sim_stats] JSON, the outcome constructor and
-   the diagnostic. The probed run must match too, and must see at least
-   two idle cycles in a row, so the jump is really taken. [expect]
-   checks the case reaches the regime it names. *)
+   [Pipeline.run] jumps over idle cycles, with or without observers;
+   [Pipeline_reference] steps every cycle. Each case aims a stall span
+   at one event boundary of the jump and must match the reference on
+   the [Sim_stats] JSON, the outcome constructor and the diagnostic.
+   The probed run must match too, and must see at least two idle cycles
+   in a row, so the jump is really taken. With a sink and a probe
+   attached, the simulator-track events and the per-cycle probe calls
+   must match the reference's at several sink intervals
+   ([observers_match]). [expect] checks the case reaches the regime it
+   names. *)
 
 let skip_trace n body =
   let b = Trace.Builder.create () in
@@ -1483,6 +1486,74 @@ let skip_cases =
             && st.Sim_stats.accel_invocations > 0 ))
       [ None; Some 100 ]
 
+(* What the observers of a run see: its simulator-track events (name,
+   phase, timestamp, duration, args) on a sink of interval [iv], and
+   every probe call, each rendered as one line. *)
+let observed run cfg trace iv =
+  let sink = Tca_telemetry.Sink.create ~interval:iv () in
+  let calls = ref [] in
+  let probe =
+    {
+      Pipeline.on_cycle =
+        (fun ~cycle ~dispatched ~issued ~executing ~rob_occupancy ->
+          calls :=
+            Printf.sprintf
+              "cycle %d: dispatched %d issued %d executing %d rob %d" cycle
+              dispatched issued executing rob_occupancy
+            :: !calls);
+    }
+  in
+  let outcome = outcome_key (run ~probe ~telemetry:sink cfg trace) in
+  let events =
+    List.filter_map
+      (fun (e : Tca_telemetry.Sink.event) ->
+        if e.Tca_telemetry.Sink.pid <> Tca_telemetry.Sink.track_sim then None
+        else
+          Some
+            (Printf.sprintf "%s %c ts %h dur %h %s" e.Tca_telemetry.Sink.name
+               e.Tca_telemetry.Sink.ph e.Tca_telemetry.Sink.ts
+               e.Tca_telemetry.Sink.dur
+               (Tca_util.Json.to_string
+                  (Tca_util.Json.Obj e.Tca_telemetry.Sink.args))))
+      (Tca_telemetry.Sink.events sink)
+  in
+  (outcome, events, List.rev !calls)
+
+(* Equal line lists, or a failure naming the first line that differs. *)
+let check_lines what expected actual =
+  let rec go i = function
+    | [], [] -> ()
+    | e :: es, a :: as_ when e = a -> go (i + 1) (es, as_)
+    | e, a ->
+        let first = function [] -> "<end>" | x :: _ -> x in
+        Alcotest.failf "%s: line %d differs: reference %S, pipeline %S" what i
+          (first e) (first a)
+  in
+  go 0 (expected, actual)
+
+(* [Pipeline] with a probe and a sink attached observes exactly what
+   [Pipeline_reference] does at sink intervals 1, 7 and 256: the jump
+   stops at every interval boundary and replays the probe over the
+   cycles it skips. *)
+let observers_match name cfg trace =
+  List.iter
+    (fun iv ->
+      let what = Printf.sprintf "%s, interval %d" name iv in
+      let ref_outcome, ref_events, ref_calls =
+        observed
+          (fun ~probe ~telemetry -> Pipeline_reference.run ~probe ~telemetry)
+          cfg trace iv
+      in
+      let outcome, events, calls =
+        observed (fun ~probe ~telemetry -> Pipeline.run ~probe ~telemetry)
+          cfg trace iv
+      in
+      Alcotest.(check string) (what ^ ": observed run = reference") ref_outcome
+        outcome;
+      check_lines (what ^ ": simulator-track events") ref_events events;
+      check_lines (what ^ ": probe calls") ref_calls calls)
+    [ 1; 7; 256 ]
+
 let test_skip_differential () =
   List.iter
     (fun (name, cfg, trace, expect) ->
@@ -1507,6 +1578,7 @@ let test_skip_differential () =
         (outcome_key stepped);
       Alcotest.(check bool) (name ^ ": has an idle span to skip") true
         (!longest >= 2);
+      observers_match name cfg trace;
       Alcotest.(check bool) (name ^ ": reaches its regime") true
         (match fast with Ok o -> expect o | Error _ -> false))
     skip_cases
@@ -1521,7 +1593,8 @@ let test_skip_differential () =
    words, behind saturated units, blocked loads and head-waiting
    accelerators — and must match the reference on the [Sim_stats] JSON,
    the outcome constructor and the diagnostic, with and without a
-   probe. [expect] checks the case reaches the regime it names. *)
+   probe, and on what a sink and a probe observe ([observers_match]).
+   [expect] checks the case reaches the regime it names. *)
 
 let with_rob n c = { c with Config.rob_size = n; iq_size = n; lsq_size = n }
 
@@ -1633,7 +1706,6 @@ let wakeup_cases =
       [ 2; 61; 62; 63; 124; 125 ]
 
 let test_wakeup_differential () =
-  (* Any probe selects the per-cycle loop. *)
   let probe =
     {
       Pipeline.on_cycle =
@@ -1649,6 +1721,7 @@ let test_wakeup_differential () =
         (outcome_key fast);
       Alcotest.(check string) (name ^ ": probed = reference") oracle
         (outcome_key (Pipeline.run ~probe cfg trace));
+      observers_match name cfg trace;
       Alcotest.(check bool) (name ^ ": reaches its regime") true
         (match fast with Ok o -> expect o | Error _ -> false))
     wakeup_cases
